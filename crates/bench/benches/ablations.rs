@@ -1,6 +1,6 @@
-//! Ablation benchmarks for the design choices DESIGN.md calls out:
-//! priority-leaf size, kd-split snapping, node-cache policy, and the
-//! dynamic split policy.
+//! Ablation benchmarks for the PR-tree's design choices:
+//! priority-leaf size, kd-split snapping, the leaf-cache byte budget,
+//! and the dynamic split policy.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pr_data::queries::square_queries;
@@ -10,7 +10,7 @@ use pr_geom::Rect;
 use pr_tree::bulk::pr::PrTreeLoader;
 use pr_tree::bulk::BulkLoader;
 use pr_tree::dynamic::SplitPolicy;
-use pr_tree::{CachePolicy, RTree, TreeParams};
+use pr_tree::{LeafCache, RTree, SoaNode, TreeParams};
 use std::sync::Arc;
 
 fn build_pr(loader: PrTreeLoader, n: u32) -> RTree<2> {
@@ -78,19 +78,36 @@ fn bench_snap_splits(c: &mut Criterion) {
     group.finish();
 }
 
-/// Cache policy: the paper's all-internal cache vs a bounded LRU vs none.
-fn bench_cache_policy(c: &mut Criterion) {
+/// Leaf-cache byte budget on a warmed tree (every internal node
+/// pinned): no leaf cache, a cache of about a quarter of the leaf
+/// bytes, and one that holds every leaf.
+fn bench_leaf_cache_budget(c: &mut Criterion) {
     let queries = square_queries(&Rect::xyxy(0.0, 0.0, 1.0, 1.0), 0.01, 30, 11);
-    let tree = build_pr(PrTreeLoader::default(), 30_000);
-    let mut group = c.benchmark_group("ablation_cache_policy");
+    let base = build_pr(PrTreeLoader::default(), 30_000);
+    let leaf_bytes = leaf_bytes(&base);
+    let mut group = c.benchmark_group("ablation_leaf_cache_budget");
     group.sample_size(10);
-    for (label, policy) in [
-        ("all_internal", CachePolicy::InternalNodes),
-        ("lru_64", CachePolicy::Lru(64)),
-        ("none", CachePolicy::None),
+    // The budget splits evenly over the cache's shards, so "every leaf"
+    // gets 2x slack for uneven page-id spread.
+    for (label, budget) in [
+        ("none", None),
+        ("quarter_leaves", Some(leaf_bytes / 4)),
+        ("all_leaves", Some(leaf_bytes * 2)),
     ] {
-        tree.set_cache_policy(policy);
+        // A fresh handle on the same pages: nothing attached or pinned.
+        let mut tree = RTree::from_parts(Arc::clone(base.device()), base.meta()).unwrap();
+        if let Some(bytes) = budget {
+            let cache = Arc::new(LeafCache::new(bytes));
+            let epoch = cache.register_epoch();
+            tree.attach_leaf_cache(cache, epoch);
+        }
         tree.warm_cache().unwrap();
+        // Two passes: the leaf cache admits a page on its second touch.
+        for _ in 0..2 {
+            for q in &queries {
+                tree.window_count(q).unwrap();
+            }
+        }
         group.bench_with_input(BenchmarkId::from_parameter(label), &tree, |b, t| {
             b.iter(|| {
                 let mut total = 0u64;
@@ -102,6 +119,21 @@ fn bench_cache_policy(c: &mut Criterion) {
         });
     }
     group.finish();
+}
+
+/// Bytes of every leaf once transcoded — the unit `LeafCache` budgets in.
+fn leaf_bytes(tree: &RTree<2>) -> usize {
+    let mut bytes = 0;
+    let mut stack = vec![tree.root()];
+    while let Some(page) = stack.pop() {
+        let (node, _) = tree.read_node(page).unwrap();
+        if node.is_leaf() {
+            bytes += SoaNode::from_page(&node).approx_bytes();
+        } else {
+            stack.extend(node.entries.iter().map(|e| e.ptr as u64));
+        }
+    }
+    bytes
 }
 
 /// Dynamic split policies: insert throughput for Guttman linear,
@@ -161,7 +193,7 @@ criterion_group!(
     benches,
     bench_priority_size,
     bench_snap_splits,
-    bench_cache_policy,
+    bench_leaf_cache_budget,
     bench_split_policy,
     bench_parallel_build
 );

@@ -101,9 +101,10 @@ fn correctness_gate(items: &[Item<2>], queries: &[Rect<2>]) {
         for q in &queries[..GATE_QUERIES] {
             let (want, want_stats) = mem.window_with_stats(q).expect("mem window");
             for (name, tree) in [("recheck", &recheck), ("zero", &zero), ("cached", &cached)] {
-                // Two passes: cold, then repeat (the cached path must
-                // serve the repeat without device reads).
-                for pass in 0..2 {
+                // Three passes: cold, second touch (the leaf cache
+                // admits a page on its second touch), then repeat (the
+                // cached path must serve it without device reads).
+                for pass in 0..3 {
                     let (got, stats) = tree.window_with_stats(q).expect("store window");
                     assert_eq!(got, want, "{}/{name}: results differ", kind.name());
                     assert_eq!(
@@ -130,11 +131,11 @@ fn correctness_gate(items: &[Item<2>], queries: &[Rect<2>]) {
                             "{}/{name} pass {pass}: device reads",
                             kind.name()
                         ),
-                        // Cached first touch: every leaf visit is either
-                        // a cache hit (overlapping earlier gate queries
-                        // already admitted it) or one device read that
-                        // admits it — the accounting must be exact.
-                        ("cached", 0) => {
+                        // Cached first and second touch: every leaf visit
+                        // is either a cache hit (overlapping earlier gate
+                        // queries already admitted it) or one device read
+                        // — the accounting must be exact.
+                        ("cached", 0 | 1) => {
                             assert_eq!(stats.device_reads, stats.leaf_cache_misses);
                             assert_eq!(
                                 stats.leaf_cache_hits + stats.leaf_cache_misses,

@@ -1,4 +1,4 @@
-//! Multi-threaded window-query throughput on the sharded-cache runtime.
+//! Multi-threaded window-query throughput on the pinned-node runtime.
 //!
 //! Measures `RTree::par_windows` over a fixed batch of windows at 1, 2,
 //! 4, and 8 threads, verifying en route that every thread count returns

@@ -16,8 +16,9 @@
 //! `PRTREE_REQUIRE_OBS_OVERHEAD=1` to assert that the registry's
 //! recording switch costs ≤ 5% on the hot window path (measured on the
 //! same instrumented loop with recording on vs off) and that the span
-//! tracer costs ≤ 5% armed-but-inert vs fully disabled. Both overhead
-//! pairs are measured **interleaved** — on/off alternating within the
+//! tracer and the fault-injection probe each cost ≤ 5% armed-but-inert
+//! vs fully disabled. All three overhead pairs are measured
+//! **interleaved** — on/off alternating within the
 //! same best-of loop, order flipped every rep — so thermal and
 //! frequency drift lands on both sides instead of biasing whichever
 //! configuration happened to run last.
@@ -161,6 +162,7 @@ fn json_row(
     trace_armed: f64,
     trace_off: f64,
     fault_armed: f64,
+    fault_off: f64,
 ) -> String {
     let per_q = |secs: f64| secs / N_QUERIES as f64 * 1e9;
     let mut row = pr_obs::json::JsonObj::new();
@@ -169,7 +171,7 @@ fn json_row(
         .str("dataset", "uniform")
         .u64("n", N as u64)
         .str("loader", "PR")
-        .str("cache", "InternalNodes (warm, frozen)")
+        .str("cache", "internal nodes pinned (warm), no leaf cache")
         .u64("queries", N_QUERIES as u64)
         .f64p("query_area_pct", 1.0, 1)
         .u64("knn_k", KNN_K as u64)
@@ -197,9 +199,10 @@ fn json_row(
             "interleaved best-of, order flipped per rep",
         )
         .f64p("fault_armed_ns_per_query", per_q(fault_armed), 0)
+        .f64p("fault_off_ns_per_query", per_q(fault_off), 0)
         .f64p(
             "fault_probe_overhead_pct",
-            (fault_armed / obs_on - 1.0) * 100.0,
+            (fault_armed / fault_off - 1.0) * 100.0,
             2,
         )
         .bool("results_identical", true)
@@ -372,23 +375,35 @@ fn bench_hot_query(c: &mut Criterion) {
     );
 
     // Fault-probe overhead: disarmed, the injection hook is one relaxed
-    // atomic load per device op (the `obs_on` pass above); armed with an
-    // empty schedule it also counts ops. The robustness layer is only
-    // free if neither state taxes the hot read path.
-    let fault_armed = {
+    // atomic load per device op; armed with an empty schedule it also
+    // counts ops. The robustness layer is only free if neither state
+    // taxes the hot read path.
+    let (fault_armed, fault_off) = {
         let _hook = pr_em::fault::exclusive();
-        let _g = pr_em::fault::install(pr_em::fault::FaultSchedule::never(true));
-        best_of(5, || {
-            queries
-                .iter()
-                .map(|q| tree.window_count_into(q, &mut scratch).unwrap().0)
-                .sum()
-        })
+        let armed = std::cell::RefCell::new(None);
+        interleaved_best_of(
+            15,
+            || {
+                // Disarm first: a guard dropped after `install` would
+                // clear the new schedule.
+                drop(armed.take());
+                *armed.borrow_mut() = Some(pr_em::fault::install(
+                    pr_em::fault::FaultSchedule::never(true),
+                ));
+            },
+            || drop(armed.take()),
+            || {
+                queries
+                    .iter()
+                    .map(|q| tree.window_count_into(q, &mut scratch).unwrap().0)
+                    .sum()
+            },
+        )
     };
-    let fault_overhead_pct = (fault_armed / obs_on - 1.0) * 100.0;
+    let fault_overhead_pct = (fault_armed / fault_off - 1.0) * 100.0;
     println!(
         "hot_query fault-probe overhead: {fault_overhead_pct:.2}% \
-         (armed-inert vs disarmed, best-of-5)"
+         (armed-inert vs disarmed, interleaved best-of-15)"
     );
 
     let row = json_row(
@@ -403,6 +418,7 @@ fn bench_hot_query(c: &mut Criterion) {
         trace_armed,
         trace_off,
         fault_armed,
+        fault_off,
     );
     println!("{row}");
     let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_hot_query.json");

@@ -1,5 +1,5 @@
-//! One function per table/figure of the paper. See DESIGN.md §3 for the
-//! experiment index and EXPERIMENTS.md for measured-vs-paper results.
+//! One function per table/figure of the paper; `experiments --help`
+//! lists them by name.
 
 use crate::measure::{
     build_external, build_in_memory, fraction_of_leaves_visited, run_queries, QueryAgg,

@@ -1,8 +1,8 @@
 //! A slab-backed LRU cache.
 //!
 //! `O(1)` get / insert / evict via an intrusive doubly-linked list over a
-//! `Vec` slab (no per-node allocation, no `unsafe`). Used by the buffer
-//! pool here and by the R-tree node cache in `pr-tree`.
+//! `Vec` slab (no per-node allocation, no `unsafe`). Used by the shard
+//! LRUs of the leaf cache in `pr-tree`.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -90,8 +90,8 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 
     /// Looks up `key`, marking it most recently used. Hit/miss accounting
-    /// is the caller's job (see `pr_em::stats::HitCounters`): the users of
-    /// this cache count at their own layer, where batching is possible.
+    /// is the caller's job (see `pr_em::stats::HitCounters`): the leaf
+    /// cache counts per query, where batching is possible.
     pub fn get(&mut self, key: &K) -> Option<&V> {
         match self.map.get(key).copied() {
             Some(idx) => {

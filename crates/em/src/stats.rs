@@ -53,8 +53,8 @@ impl IoCounters {
 
 /// Shared, thread-safe hit/miss counters for any cache layer.
 ///
-/// The node cache in `pr-tree` and the [`crate::BufferPool`] both report
-/// `(hits, misses)` through this type. Counters are relaxed atomics:
+/// The pinned internal nodes and the shared leaf cache in `pr-tree` both
+/// report `(hits, misses)` through this type. Counters are relaxed atomics:
 /// totals are exact whatever the interleaving (every lookup increments
 /// exactly one counter), only cross-counter ordering is unspecified —
 /// the same contract as [`IoCounters`].

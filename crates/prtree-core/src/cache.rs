@@ -1,63 +1,49 @@
-//! Node cache policies — sharded for concurrent readers.
+//! The two node caches behind every query: pinned internal nodes and a
+//! shared, bounded leaf cache.
 //!
-//! The paper's query experiments keep *all internal nodes* cached ("they
-//! never occupied more than 6MB", §3.3), so reported query I/O equals the
-//! number of leaves fetched. Footnote 5 also reports a run with the cache
-//! disabled. Both policies, plus a bounded LRU for ablations, live here.
+//! The paper's query experiments keep *all internal nodes* in memory
+//! ("they never occupied more than 6MB", §3.3), so the reported query
+//! I/O equals the number of leaves fetched. [`PinnedNodes`] is exactly
+//! that setup: each [`crate::tree::RTree`] owns one map of its internal
+//! nodes, never evicted, which leaves never enter.
 //!
-//! # Sharded-cache design
+//! # Pinned internal nodes
 //!
-//! The original runtime wrapped one `NodeCache` in a global
-//! `parking_lot::Mutex`, serializing every reader: with all internal
-//! nodes cached, *each node visit of each query* took the same lock, so
-//! multi-threaded query throughput plateaued at ~1× serial. This module
-//! replaces that with a cache that is internally synchronized and safe to
-//! share by reference:
-//!
-//! * **Sharding.** Pinned internal nodes are partitioned over
-//!   [`SHARD_COUNT`] shards by the low bits of their [`BlockId`], each
-//!   shard behind its own `parking_lot::RwLock`. Readers of different
-//!   pages take different locks; readers of the same shard share a read
-//!   lock. Only `admit`/`invalidate`/`clear` take a shard's write lock.
-//! * **Frozen fast path.** After [`crate::tree::RTree::warm_cache`]
-//!   pre-loads every internal node, [`ShardedNodeCache::freeze`] collects
-//!   the pinned maps into one immutable [`FrozenMap`]. Each query grabs
-//!   one snapshot `Arc` up front ([`ShardedNodeCache::frozen_snapshot`])
-//!   and then indexes a plain `HashMap` per node visit — zero shared
-//!   lock or refcount traffic in the hot loop, which is the paper's
-//!   steady-state query configuration. Any invalidation or policy change
-//!   thaws the frozen map; the sharded path (which retains the same
-//!   entries) keeps lookups correct, so dynamic updates stay exact.
-//! * **Exact statistics.** Hits/misses accumulate in the shared atomic
-//!   [`pr_em::HitCounters`]; every lookup increments exactly one counter,
-//!   so totals equal the serial run's regardless of thread interleaving.
-//!   Query code batches its counts locally (one [`CacheTally`] per query)
-//!   and flushes once via [`ShardedNodeCache::record`], keeping the hot
-//!   loop free of shared-cacheline traffic.
-//! * **LRU stays global.** [`CachePolicy::Lru`] is the ablation path: it
-//!   needs recency updates on every lookup, so it lives behind a single
-//!   lock with *exactly* the configured capacity — same semantics as the
-//!   pre-sharding cache. It is not meant for the concurrent hot path.
-//!
-//! Policy is stored as atomics (`tag` + LRU capacity) so `get`/`admit`
-//! can take their early-outs — `CachePolicy::None` lookups and leaf
-//! admissions under `InternalNodes` — without touching any lock.
+//! * **Lock-free probes.** The map is an immutable
+//!   `Arc<HashMap<BlockId, Arc<SoaNode>>>` behind a `RwLock`. A query
+//!   clones the `Arc` once ([`PinnedNodes::view`]) and then probes a
+//!   plain `HashMap` per node visit — no lock, no refcount traffic — so
+//!   any number of threads read one tree without contending.
+//! * **Lazy, copy-on-write admission.** [`crate::tree::RTree::warm_cache`]
+//!   pins every internal node up front. A tree nobody warmed (an
+//!   LPR-tree component, a Guttman tree) pins lazily instead: an
+//!   internal node that misses is read from the device, and the query
+//!   admits everything it read through `Arc::make_mut` when it finishes
+//!   ([`PinnedNodes::finish`]). A query therefore copies the map at most
+//!   once, and only while another query holds a snapshot; a
+//!   single-threaded run never copies it.
+//! * **Writes.** [`crate::tree::RTree::write_node`] pins or unpins the
+//!   rewritten page according to its new level. Dynamic updates hold
+//!   `&mut self`, so no snapshot is outstanding and nothing is copied.
+//! * **Exact statistics.** Queries count hits and misses into a local
+//!   [`CacheTally`] and flush it once into the shared atomic
+//!   [`pr_em::HitCounters`]; every lookup counts exactly once, so totals
+//!   equal the serial run's whatever the thread interleaving.
 //!
 //! # The shared leaf cache
 //!
-//! The per-tree cache above answers the paper's setup (pin every
-//! internal node); **leaves** of store-backed trees were still a device
-//! read + transcode on every visit of every query. [`LeafCache`] is the
+//! Leaves of store-backed trees would otherwise cost a device read and
+//! a transcode on every visit of every query. [`LeafCache`] is the
 //! LSM-style cure: one bounded, sharded cache of transcoded leaf
 //! [`SoaNode`]s **shared across trees** — all components of one pr-live
 //! snapshot feed one cache — keyed by `(cache epoch, BlockId)` and
 //! sized in **bytes**, not pages. It is an attachment
-//! ([`crate::tree::RTree::attach_leaf_cache`]) rather than a
-//! [`CachePolicy`] variant because its two defining properties — shared
-//! across trees, keyed by an epoch the owner retires — do not fit a
-//! per-tree policy enum: a `CachePolicy::LeafLru` would give every
-//! component a private budget and no way to drop a replaced snapshot's
-//! pages wholesale. Epochs come from [`LeafCache::register_epoch`]
+//! ([`crate::tree::RTree::attach_leaf_cache`]) rather than part of the
+//! per-tree pinned map because its two defining properties — shared
+//! across trees, keyed by an epoch the owner retires — cannot live in
+//! one tree: a per-tree leaf cache would give every component a private
+//! budget and no way to drop a replaced snapshot's pages wholesale.
+//! Epochs come from [`LeafCache::register_epoch`]
 //! (monotonic, never reused — store commit epochs restart after a
 //! `compact()` rewrite, so they cannot key a shared cache), and
 //! [`LeafCache::retain_epochs`] evicts every dead snapshot's entries
@@ -81,39 +67,22 @@ use parking_lot::{Mutex, RwLock};
 use pr_em::lru::LruCache;
 use pr_em::{BlockId, HitCounters};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Number of independent cache shards (power of two; block ids are
-/// allocated sequentially, so low bits spread adjacent pages evenly).
+/// Number of independent [`LeafCache`] shards (power of two; block ids
+/// are allocated sequentially, so low bits spread adjacent pages evenly).
 pub const SHARD_COUNT: usize = 16;
 
-/// What a tree keeps in memory between queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CachePolicy {
-    /// No caching: every node visit is a device read.
-    None,
-    /// Cache every internal node forever; leaves are always read from the
-    /// device. This is the paper's experimental setup.
-    InternalNodes,
-    /// Global LRU over all nodes (internal and leaves) with exactly the
-    /// given capacity in pages. Single-lock; intended for cache-size
-    /// ablations, not the concurrent hot path.
-    Lru(usize),
-}
-
-const TAG_NONE: u8 = 0;
-const TAG_INTERNAL: u8 = 1;
-const TAG_LRU: u8 = 2;
-
-/// Per-query local hit/miss accumulator; flushed once per query through
-/// [`ShardedNodeCache::record`] so global totals stay exact without
-/// per-node atomic traffic.
+/// Per-query local hit/miss accumulator; flushed once per query
+/// ([`PinnedNodes::finish`], [`LeafCache::record`]) so global totals stay
+/// exact without per-node atomic traffic.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CacheTally {
-    /// Lookups served from the cache.
+    /// Node visits served by the pinned internal nodes.
     pub hits: u64,
-    /// Lookups that fell through to the device.
+    /// Node visits the pinned map did not hold (every leaf visit, plus
+    /// internal nodes of a tree not yet warmed).
     pub misses: u64,
     /// Leaf pages served by the shared [`LeafCache`] (no device read).
     pub leaf_hits: u64,
@@ -122,95 +91,56 @@ pub struct CacheTally {
     pub leaf_misses: u64,
 }
 
-/// Immutable post-warm snapshot of all pinned internal nodes. Queries
-/// clone the `Arc` once and index it lock-free per node visit. Since the
-/// decode-free engine the cached representation is the SoA
-/// [`SoaNode`] — the query path never touches a decoded
-/// [`crate::page::NodePage`].
-pub type FrozenMap<const D: usize> = Arc<HashMap<BlockId, Arc<SoaNode<D>>>>;
+/// A snapshot of one tree's pinned internal nodes. Never mutated in
+/// place while shared: writers replace it copy-on-write, so a query's
+/// snapshot stays consistent for its whole traversal.
+pub(crate) type PinnedMap<const D: usize> = Arc<HashMap<BlockId, Arc<SoaNode<D>>>>;
 
-type PinnedShard<const D: usize> = HashMap<BlockId, Arc<SoaNode<D>>>;
-
-/// A concurrently readable node cache implementing one [`CachePolicy`].
-///
-/// All methods take `&self`; the cache synchronizes internally (see the
-/// module docs for the sharding/freezing design). The former name
-/// `NodeCache` remains as an alias.
-pub struct ShardedNodeCache<const D: usize> {
-    policy_tag: AtomicU8,
-    lru_capacity: AtomicUsize,
-    shards: Vec<RwLock<PinnedShard<D>>>,
-    lru: RwLock<Option<LruCache<BlockId, Arc<SoaNode<D>>>>>,
-    frozen: RwLock<Option<FrozenMap<D>>>,
+/// One tree's pinned internal nodes and their hit/miss counters (see
+/// the module docs).
+#[derive(Default)]
+pub(crate) struct PinnedNodes<const D: usize> {
+    map: RwLock<PinnedMap<D>>,
     stats: HitCounters,
 }
 
-/// Backwards-compatible alias for the pre-sharding type name.
-pub type NodeCache<const D: usize> = ShardedNodeCache<D>;
-
-fn new_lru<const D: usize>(policy: CachePolicy) -> Option<LruCache<BlockId, Arc<SoaNode<D>>>> {
-    match policy {
-        CachePolicy::Lru(cap) => Some(LruCache::new(cap.max(1))),
-        _ => None,
-    }
+/// One query's view of a tree's [`PinnedNodes`]: the snapshot it
+/// probes, the internal nodes it had to read from the device, and its
+/// hit/miss tally.
+pub(crate) struct PinnedView<const D: usize> {
+    pub(crate) map: PinnedMap<D>,
+    pub(crate) missed: Vec<(BlockId, Arc<SoaNode<D>>)>,
+    pub(crate) tally: CacheTally,
 }
 
-impl<const D: usize> ShardedNodeCache<D> {
-    /// Creates a cache with the given policy.
-    pub fn new(policy: CachePolicy) -> Self {
-        let cache = ShardedNodeCache {
-            policy_tag: AtomicU8::new(TAG_NONE),
-            lru_capacity: AtomicUsize::new(0),
-            shards: (0..SHARD_COUNT)
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
-            lru: RwLock::new(new_lru::<D>(policy)),
-            frozen: RwLock::new(None),
-            stats: HitCounters::new(),
-        };
-        cache.store_policy(policy);
-        cache
-    }
-
-    fn store_policy(&self, policy: CachePolicy) {
-        let (tag, cap) = match policy {
-            CachePolicy::None => (TAG_NONE, 0),
-            CachePolicy::InternalNodes => (TAG_INTERNAL, 0),
-            CachePolicy::Lru(cap) => (TAG_LRU, cap),
-        };
-        self.lru_capacity.store(cap, Ordering::Relaxed);
-        self.policy_tag.store(tag, Ordering::Release);
-    }
-
-    /// The configured policy.
-    pub fn policy(&self) -> CachePolicy {
-        match self.policy_tag.load(Ordering::Acquire) {
-            TAG_NONE => CachePolicy::None,
-            TAG_INTERNAL => CachePolicy::InternalNodes,
-            _ => CachePolicy::Lru(self.lru_capacity.load(Ordering::Relaxed)),
+impl<const D: usize> PinnedNodes<D> {
+    /// Starts a query: clones the current map's `Arc` once.
+    pub(crate) fn view(&self) -> PinnedView<D> {
+        PinnedView {
+            map: Arc::clone(&self.map.read()),
+            missed: Vec::new(),
+            tally: CacheTally::default(),
         }
     }
 
-    /// Replaces the policy, dropping all cached nodes and resetting hit
-    /// statistics (matches the old `*cache = NodeCache::new(policy)`).
-    pub fn set_policy(&self, policy: CachePolicy) {
-        *self.frozen.write() = None;
-        self.store_policy(policy);
-        for shard in &self.shards {
-            shard.write().clear();
-        }
-        *self.lru.write() = new_lru::<D>(policy);
-        self.stats.reset();
+    /// Ends a query: releases its snapshot, pins the internal nodes it
+    /// read from the device, and flushes its hit/miss counts. Returns
+    /// the tally for the caller's leaf-cache and registry counters.
+    pub(crate) fn finish(&self, view: PinnedView<D>) -> CacheTally {
+        let PinnedView { map, missed, tally } = view;
+        // Release the snapshot first: when no other query holds one,
+        // `make_mut` then edits the map in place instead of copying it.
+        drop(map);
+        self.admit(missed);
+        self.stats.add_hits(tally.hits);
+        self.stats.add_misses(tally.misses);
+        tally
     }
 
-    #[inline]
-    fn shard(&self, page: BlockId) -> &RwLock<PinnedShard<D>> {
-        &self.shards[(page as usize) & (SHARD_COUNT - 1)]
-    }
-
-    /// Looks up a node and records the hit/miss in the shared counters.
-    pub fn get(&self, page: BlockId) -> Option<Arc<SoaNode<D>>> {
-        let found = self.lookup(page, None);
+    /// One counted lookup — the maintenance path (`read_node`); queries
+    /// probe their [`PinnedView`] instead.
+    pub(crate) fn get(&self, page: BlockId) -> Option<Arc<SoaNode<D>>> {
+        let found = self.map.read().get(&page).cloned();
         if found.is_some() {
             self.stats.add_hits(1);
         } else {
@@ -219,161 +149,29 @@ impl<const D: usize> ShardedNodeCache<D> {
         found
     }
 
-    /// Folds a per-query tally into the shared counters. Query loops
-    /// count each [`ShardedNodeCache::lookup_with`] outcome into their
-    /// local [`CacheTally`] and flush it here exactly once.
-    pub fn record(&self, tally: CacheTally) {
-        self.stats.add_hits(tally.hits);
-        self.stats.add_misses(tally.misses);
-    }
-
-    /// The current frozen snapshot, if [`ShardedNodeCache::freeze`] ran
-    /// and nothing thawed it since. Queries grab this once up front; the
-    /// snapshot is immutable, so a query keeps reading a consistent map
-    /// even if the cache is thawed mid-traversal (the node `Arc`s it
-    /// yields are the same ones the shards hold).
-    pub fn frozen_snapshot(&self) -> Option<FrozenMap<D>> {
-        self.frozen.read().clone()
-    }
-
-    fn lookup(&self, page: BlockId, frozen: Option<&FrozenMap<D>>) -> Option<Arc<SoaNode<D>>> {
-        self.lookup_with(page, frozen, Arc::clone)
-    }
-
-    /// Closure-form lookup: runs `f` against the cached node *in place*
-    /// and returns its result, or `None` on a miss. The hot query loop
-    /// uses this so that a frozen-snapshot hit costs one `HashMap` probe
-    /// and nothing else — no lock, no `Arc` refcount traffic, no clone.
-    /// (Shard/LRU hits run `f` under the shard's read lock / the LRU's
-    /// write lock; `f` must be short, which traversal scans are.)
-    pub fn lookup_with<R>(
-        &self,
-        page: BlockId,
-        frozen: Option<&FrozenMap<D>>,
-        f: impl FnOnce(&Arc<SoaNode<D>>) -> R,
-    ) -> Option<R> {
-        match self.policy_tag.load(Ordering::Acquire) {
-            TAG_NONE => None,
-            TAG_INTERNAL => {
-                // Fast path: the caller's immutable post-warm snapshot —
-                // a plain HashMap probe, no locks, no refcount traffic.
-                if let Some(map) = frozen {
-                    // The snapshot is authoritative while it exists:
-                    // `warm_cache` pins *every* internal node before
-                    // `freeze`, and every later mutation (`write_node` →
-                    // `invalidate`, `clear`, `set_policy`) thaws first —
-                    // so a page absent here is simply not cached. Skip
-                    // the shard probe; a leaf visit must not pay a
-                    // RwLock + second HashMap miss.
-                    return map.get(&page).map(f);
-                } else {
-                    let guard = self.frozen.read();
-                    if let Some(n) = guard.as_ref().and_then(|map| map.get(&page)) {
-                        return Some(f(n));
-                    }
-                }
-                self.shard(page).read().get(&page).map(f)
-            }
-            _ => {
-                // LRU updates recency on every lookup → global write lock
-                // (ablation path; see module docs).
-                let mut lru = self.lru.write();
-                lru.as_mut().and_then(|l| l.get(&page)).map(f)
-            }
-        }
-    }
-
-    /// True when the policy would retain a freshly read node at `level`.
-    /// The miss path checks this *before* materializing an owned
-    /// [`SoaNode`], so leaf reads under [`CachePolicy::InternalNodes`] —
-    /// the steady-state hot path — allocate nothing for the cache.
-    #[inline]
-    pub fn wants(&self, level: u8) -> bool {
-        match self.policy_tag.load(Ordering::Acquire) {
-            TAG_NONE => false,
-            TAG_INTERNAL => level > 0,
-            _ => true,
-        }
-    }
-
-    /// Offers a freshly read node to the cache; the policy decides whether
-    /// to keep it. Policy checks happen before any lock is taken, so leaf
-    /// reads under [`CachePolicy::InternalNodes`] stay lock-free here.
-    pub fn admit(&self, page: BlockId, node: &Arc<SoaNode<D>>) {
-        match self.policy_tag.load(Ordering::Acquire) {
-            TAG_NONE => {}
-            TAG_INTERNAL => {
-                if !node.is_leaf() {
-                    self.shard(page).write().insert(page, Arc::clone(node));
-                }
-            }
-            _ => {
-                let mut lru = self.lru.write();
-                if let Some(l) = lru.as_mut() {
-                    l.insert(page, Arc::clone(node));
-                }
-            }
-        }
-    }
-
-    /// Drops a page (after it is rewritten by a dynamic update). Thaws the
-    /// frozen snapshot: the sharded path stays exact, and the next
-    /// [`ShardedNodeCache::freeze`] rebuilds the fast path.
-    pub fn invalidate(&self, page: BlockId) {
-        *self.frozen.write() = None;
-        self.shard(page).write().remove(&page);
-        if let Some(l) = self.lru.write().as_mut() {
-            l.remove(&page);
-        }
-    }
-
-    /// Empties the cache (does not reset hit statistics).
-    pub fn clear(&self) {
-        *self.frozen.write() = None;
-        for shard in &self.shards {
-            shard.write().clear();
-        }
-        if let Some(l) = self.lru.write().as_mut() {
-            l.drain();
-        }
-    }
-
-    /// Snapshots all pinned internal nodes into an immutable map that
-    /// queries read without locking (via
-    /// [`ShardedNodeCache::frozen_snapshot`]). Called by `warm_cache`
-    /// once every internal node is resident; a no-op under the other
-    /// policies (nothing is pinned).
-    pub fn freeze(&self) {
-        if self.policy_tag.load(Ordering::Acquire) != TAG_INTERNAL {
+    /// Pins the internal nodes among `nodes` under one write lock;
+    /// leaves are skipped. The map is copied only if a query still
+    /// holds a snapshot of it.
+    pub(crate) fn admit(&self, nodes: impl IntoIterator<Item = (BlockId, Arc<SoaNode<D>>)>) {
+        let mut nodes = nodes.into_iter().filter(|(_, n)| !n.is_leaf()).peekable();
+        if nodes.peek().is_none() {
             return;
         }
-        let mut map = HashMap::new();
-        for shard in &self.shards {
-            for (k, v) in shard.read().iter() {
-                map.insert(*k, Arc::clone(v));
-            }
+        let mut map = self.map.write();
+        Arc::make_mut(&mut map).extend(nodes);
+    }
+
+    /// Unpins `page` (rewritten as a leaf). Copies nothing unless the
+    /// page was pinned.
+    pub(crate) fn invalidate(&self, page: BlockId) {
+        let mut map = self.map.write();
+        if map.contains_key(&page) {
+            Arc::make_mut(&mut map).remove(&page);
         }
-        *self.frozen.write() = Some(Arc::new(map));
     }
 
-    /// True when the post-warm frozen snapshot is active.
-    pub fn is_frozen(&self) -> bool {
-        self.frozen.read().is_some()
-    }
-
-    /// Number of cached pages.
-    pub fn len(&self) -> usize {
-        let pinned: usize = self.shards.iter().map(|s| s.read().len()).sum();
-        pinned + self.lru.read().as_ref().map_or(0, |l| l.len())
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// `(hits, misses)` since construction (or the last policy change).
-    pub fn hit_stats(&self) -> (u64, u64) {
+    /// `(hits, misses)` since the tree handle was created.
+    pub(crate) fn hit_stats(&self) -> (u64, u64) {
         self.stats.snapshot()
     }
 }
@@ -705,164 +503,84 @@ mod tests {
     }
 
     #[test]
-    fn none_policy_never_caches() {
-        let c = NodeCache::new(CachePolicy::None);
-        c.admit(1, &node(2));
-        assert!(c.get(1).is_none());
-        assert!(c.is_empty());
-        assert_eq!(c.hit_stats(), (0, 1));
-    }
-
-    #[test]
     fn internal_policy_skips_leaves() {
-        let c = NodeCache::new(CachePolicy::InternalNodes);
-        c.admit(1, &node(0)); // leaf: not cached
-        c.admit(2, &node(1)); // internal: cached
-        assert!(c.get(1).is_none());
+        let c = PinnedNodes::default();
+        c.admit([(1, node(0)), (2, node(1))]);
+        assert!(c.get(1).is_none(), "leaves are never pinned");
         assert!(c.get(2).is_some());
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.view().map.len(), 1);
         assert_eq!(c.hit_stats(), (1, 1));
-    }
-
-    #[test]
-    fn lru_policy_is_global_with_exact_capacity() {
-        let c = NodeCache::new(CachePolicy::Lru(2));
-        // Pages land in different shards, but the LRU is global: the
-        // third admission evicts the least recently used page whatever
-        // its shard, and total residency never exceeds the configured 2.
-        c.admit(1, &node(0));
-        c.admit(2, &node(1));
-        c.admit(3, &node(0)); // evicts page 1
-        assert!(c.get(1).is_none());
-        assert!(c.get(2).is_some());
-        assert!(c.get(3).is_some());
-        assert_eq!(c.len(), 2);
     }
 
     #[test]
     fn invalidate_removes() {
-        let c = NodeCache::new(CachePolicy::InternalNodes);
-        c.admit(2, &node(1));
+        let c = PinnedNodes::default();
+        c.admit([(2, node(1)), (3, node(2))]);
         c.invalidate(2);
         assert!(c.get(2).is_none());
-        let c = NodeCache::new(CachePolicy::Lru(64));
-        c.admit(2, &node(1));
-        c.invalidate(2);
-        assert!(c.get(2).is_none());
-    }
-
-    #[test]
-    fn clear_empties() {
-        let c = NodeCache::new(CachePolicy::InternalNodes);
-        c.admit(2, &node(1));
-        c.admit(3, &node(3));
-        c.clear();
-        assert!(c.is_empty());
-    }
-
-    #[test]
-    fn freeze_serves_pinned_nodes_and_thaws_on_invalidate() {
-        let c = NodeCache::new(CachePolicy::InternalNodes);
-        c.admit(2, &node(1));
-        c.admit(19, &node(2));
-        c.freeze();
-        assert!(c.is_frozen());
-        assert!(c.get(2).is_some());
-        assert!(c.get(19).is_some());
-        assert!(c.get(500).is_none(), "unknown page misses through frozen");
-        // Admissions after freeze are still visible (sharded fallback).
-        c.admit(33, &node(1));
-        assert!(c.get(33).is_some());
-        // Invalidation thaws and the page is really gone.
-        c.invalidate(2);
-        assert!(!c.is_frozen());
-        assert!(c.get(2).is_none());
-        assert!(c.get(19).is_some());
+        assert!(c.get(3).is_some());
+        // Unpinning a page that was never pinned leaves the map alone.
+        let held = c.view();
+        c.invalidate(99);
+        assert!(Arc::ptr_eq(&held.map, &c.view().map));
     }
 
     #[test]
     fn snapshot_lookups_bypass_shared_state_and_stay_consistent() {
-        let c = NodeCache::new(CachePolicy::InternalNodes);
-        c.admit(2, &node(1));
-        c.freeze();
-        let snap = c.frozen_snapshot().expect("frozen after freeze");
-        assert!(c.lookup_with(2, Some(&snap), |_| ()).is_some());
-        // Thaw mid-"query": the held snapshot still answers.
-        c.invalidate(99);
-        assert!(!c.is_frozen());
-        assert!(c.frozen_snapshot().is_none());
-        assert!(c.lookup_with(2, Some(&snap), |_| ()).is_some());
+        let c = PinnedNodes::default();
+        c.admit([(2, node(1))]);
+        let snap = c.view();
+        assert!(snap.map.contains_key(&2));
+        // A write while the query runs copies the map; the held
+        // snapshot still answers as it did when the query began.
+        c.invalidate(2);
+        c.admit([(5, node(1))]);
+        assert!(snap.map.contains_key(&2));
+        assert!(!snap.map.contains_key(&5));
+        assert!(c.get(2).is_none());
+        assert!(c.get(5).is_some());
     }
 
     #[test]
-    fn freeze_is_noop_for_other_policies() {
-        let c = NodeCache::new(CachePolicy::Lru(8));
-        c.admit(1, &node(0));
-        c.freeze();
-        assert!(!c.is_frozen());
-        let c = NodeCache::<2>::new(CachePolicy::None);
-        c.freeze();
-        assert!(!c.is_frozen());
-    }
-
-    #[test]
-    fn set_policy_resets_contents_and_stats() {
-        let c = NodeCache::new(CachePolicy::InternalNodes);
-        c.admit(2, &node(1));
-        c.freeze();
-        let _ = c.get(2);
-        assert_eq!(c.hit_stats(), (1, 0));
-        c.set_policy(CachePolicy::None);
-        assert_eq!(c.policy(), CachePolicy::None);
-        assert!(c.is_empty());
-        assert!(!c.is_frozen());
-        assert_eq!(c.hit_stats(), (0, 0));
+    fn finish_pins_misses_copy_on_write() {
+        let c = PinnedNodes::default();
+        // Unshared: the query's own snapshot is released before the
+        // admission, so the map is edited in place.
+        let mut v = c.view();
+        let before = Arc::as_ptr(&v.map);
+        v.missed.push((2, node(1)));
+        c.finish(v);
+        assert_eq!(Arc::as_ptr(&c.view().map), before, "no copy");
+        assert!(c.get(2).is_some());
+        // Shared: a concurrent query's snapshot forces one copy, and
+        // that snapshot never sees the admission.
+        let other = c.view();
+        let mut v = c.view();
+        v.missed.extend([(3, node(1)), (4, node(2))]);
+        c.finish(v);
+        assert!(!Arc::ptr_eq(&other.map, &c.view().map));
+        assert!(!other.map.contains_key(&3));
+        assert!(c.get(3).is_some() && c.get(4).is_some());
     }
 
     #[test]
     fn tallied_lookups_flush_exactly() {
-        // Query-style accounting: outcomes counted into a local tally
-        // (as the traversal's node access does), flushed exactly once.
-        let c = NodeCache::new(CachePolicy::InternalNodes);
-        c.admit(2, &node(1));
-        let mut tally = CacheTally::default();
+        // Query-style accounting: outcomes counted into the view's local
+        // tally (as the traversal's node access does), flushed once.
+        let c = PinnedNodes::default();
+        c.admit([(2, node(1))]);
+        let mut v = c.view();
         for page in [2u64, 7] {
-            if c.lookup_with(page, None, |_| ()).is_some() {
-                tally.hits += 1;
+            if v.map.contains_key(&page) {
+                v.tally.hits += 1;
             } else {
-                tally.misses += 1;
+                v.tally.misses += 1;
             }
         }
-        assert_eq!((tally.hits, tally.misses), (1, 1));
         assert_eq!(c.hit_stats(), (0, 0), "nothing flushed yet");
-        c.record(tally);
+        let tally = c.finish(v);
+        assert_eq!((tally.hits, tally.misses), (1, 1));
         assert_eq!(c.hit_stats(), (1, 1));
-    }
-
-    #[test]
-    fn wants_mirrors_admit_policy() {
-        let c = NodeCache::<2>::new(CachePolicy::InternalNodes);
-        assert!(!c.wants(0), "leaves are never pinned");
-        assert!(c.wants(1));
-        c.set_policy(CachePolicy::None);
-        assert!(!c.wants(3));
-        c.set_policy(CachePolicy::Lru(4));
-        assert!(c.wants(0));
-    }
-
-    #[test]
-    fn lookup_with_runs_in_place() {
-        let c = NodeCache::new(CachePolicy::InternalNodes);
-        c.admit(2, &node(1));
-        assert_eq!(c.lookup_with(2, None, |n| n.level()), Some(1));
-        assert_eq!(c.lookup_with(9, None, |n| n.level()), None);
-        c.freeze();
-        let snap = c.frozen_snapshot().unwrap();
-        assert_eq!(c.lookup_with(2, Some(&snap), |n| n.len()), Some(1));
-        // LRU arm too.
-        let c = NodeCache::new(CachePolicy::Lru(4));
-        c.admit(5, &node(0));
-        assert_eq!(c.lookup_with(5, None, |n| n.level()), Some(0));
     }
 
     fn leaf(entries: usize) -> Arc<SoaNode<2>> {
@@ -1091,11 +809,8 @@ mod tests {
 
     #[test]
     fn concurrent_readers_count_exactly() {
-        let c = NodeCache::<2>::new(CachePolicy::InternalNodes);
-        for p in 0..64u64 {
-            c.admit(p, &node(1));
-        }
-        c.freeze();
+        let c = PinnedNodes::<2>::default();
+        c.admit((0..64u64).map(|p| (p, node(1))));
         std::thread::scope(|s| {
             for t in 0..8 {
                 let c = &c;
@@ -1103,7 +818,13 @@ mod tests {
                     for i in 0..1000u64 {
                         // Half the lookups hit, half miss.
                         let page = (i + t) % 64 + if i % 2 == 0 { 0 } else { 1000 };
-                        let _ = c.get(page);
+                        let mut v = c.view();
+                        if v.map.contains_key(&page) {
+                            v.tally.hits += 1;
+                        } else {
+                            v.tally.misses += 1;
+                        }
+                        c.finish(v);
                     }
                 });
             }

@@ -9,7 +9,6 @@
 //! are exact nearest neighbors. It runs on *any* tree the bulk loaders
 //! produce, so PR-tree robustness extends to k-NN workloads for free.
 
-use crate::cache::CacheTally;
 use crate::query::QueryStats;
 use crate::scratch::QueryScratch;
 use crate::tree::RTree;
@@ -139,10 +138,9 @@ impl<const D: usize> RTree<D> {
             dist2: 0.0,
             candidate: Candidate::Node(self.root()),
         });
-        // Per-query local cache accounting + one-time frozen snapshot,
-        // flushed/dropped once (see query.rs).
-        let mut tally = CacheTally::default();
-        let frozen = self.frozen_snapshot();
+        // One pinned-node snapshot and local cache accounting per query,
+        // finished once (see query.rs).
+        let mut view = self.pinned_view();
         let walk = (|| {
             while let Some(Prioritized { dist2, candidate }) = heap.pop() {
                 match candidate {
@@ -157,16 +155,11 @@ impl<const D: usize> RTree<D> {
                         }
                     }
                     Candidate::Node(page) => {
-                        let (hits0, misses0) = (tally.leaf_hits, tally.leaf_misses);
+                        let (hits0, misses0) = (view.tally.leaf_hits, view.tally.leaf_misses);
                         let t_node = tracing.then(std::time::Instant::now);
                         let mut level = 0u8;
-                        let ((), did_io) = self.with_soa_node(
-                            page,
-                            frozen.as_ref(),
-                            &mut tally,
-                            page_buf,
-                            soa,
-                            |n| {
+                        let ((), did_io) =
+                            self.with_soa_node(page, &mut view, page_buf, soa, |n| {
                                 if tracing {
                                     level = n.level();
                                 }
@@ -192,8 +185,7 @@ impl<const D: usize> RTree<D> {
                                         });
                                     }
                                 }
-                            },
-                        )?;
+                            })?;
                         stats.device_reads += did_io as u64;
                         if tracing {
                             if did_io {
@@ -205,8 +197,8 @@ impl<const D: usize> RTree<D> {
                                 level as usize,
                                 is_leaf as u64,
                                 !is_leaf as u64,
-                                tally.leaf_hits - hits0,
-                                tally.leaf_misses - misses0,
+                                view.tally.leaf_hits - hits0,
+                                view.tally.leaf_misses - misses0,
                                 did_io as u64,
                             );
                         }
@@ -215,9 +207,9 @@ impl<const D: usize> RTree<D> {
             }
             Ok(())
         })();
+        let tally = self.finish_view(view);
         stats.leaf_cache_hits = tally.leaf_hits;
         stats.leaf_cache_misses = tally.leaf_misses;
-        self.record_cache_tally(tally);
         crate::obs::record_query(crate::obs::QueryKind::Knn, &stats);
         if tracing {
             trace.end_detail(traverse, &format!("nodes={}", stats.nodes_visited));

@@ -6,7 +6,8 @@
 //! evaluated against, all sharing one page-level R-tree runtime:
 //!
 //! * [`tree::RTree`] — the common runtime: 4KB node pages, fanout 113 (in
-//!   2-D), window queries with exact I/O accounting, pluggable node cache.
+//!   2-D), window queries with exact I/O accounting, pinned internal nodes
+//!   plus an optional shared leaf cache ([`cache`]).
 //! * [`soa`] / [`scratch`] / [`reference`] — the decode-free query
 //!   engine: cached nodes are structure-of-arrays views scanned by
 //!   vectorized kernels, traversal state lives in a reusable
@@ -66,7 +67,7 @@ pub mod tree;
 pub mod validate;
 pub mod writer;
 
-pub use cache::{CachePolicy, LeafCache, DEFAULT_LEAF_CACHE_BYTES};
+pub use cache::{LeafCache, DEFAULT_LEAF_CACHE_BYTES};
 pub use entry::Entry;
 pub use meta::TreeMeta;
 pub use params::TreeParams;

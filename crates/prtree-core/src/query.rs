@@ -22,7 +22,6 @@
 //! [`crate::reference`] implementation plus the property tests in
 //! `tests/engine_equivalence.rs` pin that equivalence.
 
-use crate::cache::CacheTally;
 use crate::scratch::QueryScratch;
 use crate::tree::RTree;
 use pr_em::{BlockId, EmError};
@@ -148,12 +147,12 @@ impl<const D: usize> RTree<D> {
 
     /// The shared window-traversal skeleton: DFS over nodes whose boxes
     /// intersect `query`; `leaf` inspects a leaf's SoA view and returns
-    /// how many entries matched (folded into `stats.results`). Cache
-    /// hits/misses accumulate locally and flush once at the end
-    /// (including the error path), so concurrent queries never touch
-    /// the shared counters mid-traversal yet totals stay exact; the
-    /// frozen snapshot is cloned once, making per-node lookups
-    /// lock-free after `warm_cache`.
+    /// how many entries matched (folded into `stats.results`). The
+    /// pinned-node snapshot is cloned once, making per-node lookups
+    /// lock-free; cache hits/misses and lazily pinned internal nodes
+    /// accumulate in the view and flush once at the end (including the
+    /// error path), so concurrent queries never touch shared state
+    /// mid-traversal yet totals stay exact.
     fn window_traverse(
         &self,
         query: &Rect<D>,
@@ -164,8 +163,7 @@ impl<const D: usize> RTree<D> {
         if self.is_empty() {
             return Ok(stats);
         }
-        let mut tally = CacheTally::default();
-        let frozen = self.frozen_snapshot();
+        let mut view = self.pinned_view();
         let QueryScratch {
             stack,
             page_buf,
@@ -184,25 +182,22 @@ impl<const D: usize> RTree<D> {
         stack.push(self.root());
         let walk = (|| {
             while let Some(page) = stack.pop() {
-                let (hits0, misses0) = (tally.leaf_hits, tally.leaf_misses);
+                let (hits0, misses0) = (view.tally.leaf_hits, view.tally.leaf_misses);
                 let t_node = tracing.then(std::time::Instant::now);
                 let mut level = 0u8;
-                let ((), did_io) =
-                    self.with_soa_node(page, frozen.as_ref(), &mut tally, page_buf, soa, |n| {
-                        if tracing {
-                            level = n.level();
-                        }
-                        stats.nodes_visited += 1;
-                        if n.is_leaf() {
-                            stats.leaves_visited += 1;
-                            stats.results += leaf(n);
-                        } else {
-                            stats.internal_visited += 1;
-                            n.for_each_intersecting(query, mask, |i| {
-                                stack.push(n.ptr(i) as BlockId)
-                            });
-                        }
-                    })?;
+                let ((), did_io) = self.with_soa_node(page, &mut view, page_buf, soa, |n| {
+                    if tracing {
+                        level = n.level();
+                    }
+                    stats.nodes_visited += 1;
+                    if n.is_leaf() {
+                        stats.leaves_visited += 1;
+                        stats.results += leaf(n);
+                    } else {
+                        stats.internal_visited += 1;
+                        n.for_each_intersecting(query, mask, |i| stack.push(n.ptr(i) as BlockId));
+                    }
+                })?;
                 stats.device_reads += did_io as u64;
                 if tracing {
                     if did_io {
@@ -214,17 +209,17 @@ impl<const D: usize> RTree<D> {
                         level as usize,
                         is_leaf as u64,
                         !is_leaf as u64,
-                        tally.leaf_hits - hits0,
-                        tally.leaf_misses - misses0,
+                        view.tally.leaf_hits - hits0,
+                        view.tally.leaf_misses - misses0,
                         did_io as u64,
                     );
                 }
             }
             Ok(())
         })();
+        let tally = self.finish_view(view);
         stats.leaf_cache_hits = tally.leaf_hits;
         stats.leaf_cache_misses = tally.leaf_misses;
-        self.record_cache_tally(tally);
         crate::obs::record_query(crate::obs::QueryKind::Window, &stats);
         if tracing {
             trace.end_detail(traverse, &format!("nodes={}", stats.nodes_visited));
@@ -253,8 +248,7 @@ impl<const D: usize> RTree<D> {
         if self.is_empty() {
             return Ok(false);
         }
-        let mut tally = CacheTally::default();
-        let frozen = self.frozen_snapshot();
+        let mut view = self.pinned_view();
         let QueryScratch {
             stack,
             page_buf,
@@ -267,17 +261,14 @@ impl<const D: usize> RTree<D> {
         let mut found = false;
         let walk = (|| {
             while let Some(page) = stack.pop() {
-                let (hit, _) =
-                    self.with_soa_node(page, frozen.as_ref(), &mut tally, page_buf, soa, |n| {
-                        if n.is_leaf() {
-                            n.any_intersecting(query, mask)
-                        } else {
-                            n.for_each_intersecting(query, mask, |i| {
-                                stack.push(n.ptr(i) as BlockId)
-                            });
-                            false
-                        }
-                    })?;
+                let (hit, _) = self.with_soa_node(page, &mut view, page_buf, soa, |n| {
+                    if n.is_leaf() {
+                        n.any_intersecting(query, mask)
+                    } else {
+                        n.for_each_intersecting(query, mask, |i| stack.push(n.ptr(i) as BlockId));
+                        false
+                    }
+                })?;
                 if hit {
                     found = true;
                     break;
@@ -285,7 +276,7 @@ impl<const D: usize> RTree<D> {
             }
             Ok(())
         })();
-        self.record_cache_tally(tally);
+        self.finish_view(view);
         walk.map(|()| found)
     }
 
@@ -294,11 +285,13 @@ impl<const D: usize> RTree<D> {
     /// statistics in input order.
     ///
     /// Results, leaf visits, and device-read counts are identical to
-    /// running [`RTree::window_with_stats`] serially over the slice: the
-    /// traversal is deterministic per query and the sharded cache
-    /// ([`crate::cache`]) is read-only during queries, so concurrency
-    /// changes only wall-clock time. Cache hit/miss totals are likewise
-    /// exact — each query accumulates locally and flushes atomically.
+    /// running [`RTree::window_with_stats`] serially over the slice on a
+    /// warmed tree: the traversal is deterministic per query and reads
+    /// an immutable snapshot of the pinned nodes ([`crate::cache`]), so
+    /// concurrency changes only wall-clock time. Cache hit + miss totals
+    /// are likewise exact — each query accumulates locally and flushes
+    /// once. (On a tree nobody warmed, which query pins an internal node
+    /// first depends on the interleaving; answers do not.)
     pub fn par_windows(
         &self,
         queries: &[Rect<D>],
@@ -382,7 +375,8 @@ mod tests {
 
     /// Hand-built 2-level tree: items i = 0..8 at x in [i, i+0.5].
     fn grid_tree() -> (RTree<2>, Vec<Item<2>>) {
-        let dev: Arc<dyn BlockDevice> = Arc::new(MemDevice::new(4096));
+        let params = TreeParams::with_cap::<2>(4);
+        let dev: Arc<dyn BlockDevice> = Arc::new(MemDevice::new(params.page_size));
         let items: Vec<Item<2>> = (0..8u32)
             .map(|i| {
                 let f = i as f64;
@@ -397,10 +391,12 @@ mod tests {
             parents.push(Entry::new(mbr, page as u32));
         }
         let root = NodePage::new(1, parents).append(dev.as_ref()).unwrap();
-        (
-            RTree::attach(dev, TreeParams::with_cap::<2>(4), root, 1, 8),
-            items,
-        )
+        (RTree::attach(dev, params, root, 1, 8), items)
+    }
+
+    /// A second handle on `t`'s pages with nothing pinned.
+    fn unwarmed(t: &RTree<2>) -> RTree<2> {
+        RTree::from_parts(Arc::clone(t.device()), t.meta()).unwrap()
     }
 
     #[test]
@@ -450,9 +446,14 @@ mod tests {
         assert_eq!(stats.device_reads, 4);
         assert_eq!(stats.leaves_visited, 4);
 
-        t.set_cache_policy(crate::cache::CachePolicy::None);
-        let (_, stats) = t.window_with_stats(&q).unwrap();
-        assert_eq!(stats.device_reads, 5, "uncached: every visit is an I/O");
+        // A fresh handle has nothing pinned: its first window reads
+        // every visited node, pinning the root as it goes, so the second
+        // identical window reads only the leaves.
+        let fresh = unwarmed(&t);
+        let (_, stats) = fresh.window_with_stats(&q).unwrap();
+        assert_eq!(stats.device_reads, 5, "unwarmed: every visit is an I/O");
+        let (_, stats) = fresh.window_with_stats(&q).unwrap();
+        assert_eq!(stats.device_reads, stats.leaves_visited);
     }
 
     #[test]
@@ -476,24 +477,21 @@ mod tests {
         assert_eq!(before.leaves_visited, 4);
 
         // The early exit really does stop at the first intersecting
-        // leaf: with the cache disabled every node visit is one device
-        // read, so the I/O delta counts visits.
-        t.set_cache_policy(crate::cache::CachePolicy::None);
+        // leaf: on a fresh, unwarmed handle every node visit is one
+        // device read, so the I/O delta counts visits.
         let io0 = t.device().io_stats();
-        assert!(t.intersects_any(&q).unwrap());
+        assert!(unwarmed(&t).intersects_any(&q).unwrap());
         let exist_reads = t.device().io_stats().since(io0).reads;
         assert_eq!(exist_reads, 2, "root + first intersecting leaf only");
 
         let io0 = t.device().io_stats();
-        let (_, full) = t.window_with_stats(&q).unwrap();
+        let (_, full) = unwarmed(&t).window_with_stats(&q).unwrap();
         assert_eq!(t.device().io_stats().since(io0).reads, 5);
 
         // And the window path's accounting is untouched by the early
-        // exit: same stats before and after, with either cache policy.
+        // exit: same stats before and after, warmed or not.
         assert_eq!(full.leaves_visited, before.leaves_visited);
         assert_eq!(full.results, before.results);
-        t.set_cache_policy(crate::cache::CachePolicy::InternalNodes);
-        t.warm_cache().unwrap();
         assert!(t.intersects_any(&q).unwrap());
         let (_, after) = t.window_with_stats(&q).unwrap();
         assert_eq!(after, before, "window stats unchanged by intersects_any");
@@ -579,8 +577,7 @@ mod tests {
             &entries,
         )
         .unwrap();
-        // Leaves must be re-read per query for the poison to trigger.
-        tree.set_cache_policy(crate::cache::CachePolicy::InternalNodes);
+        // Leaves are re-read per query, so the poison triggers.
         tree.warm_cache().unwrap();
         let queries = vec![Rect::xyxy(0.0, 0.0, 64.0, 1.0); 8];
         // Sanity: healthy device answers across 2 workers.

@@ -14,9 +14,8 @@
 //!
 //! Division of labor after this module:
 //!
-//! * **Read path (hot):** [`crate::cache::ShardedNodeCache`], its frozen
-//!   post-warm snapshot, and the pinned shard maps all store
-//!   `Arc<SoaNode>`; traversal ([`crate::query`], [`crate::knn`]) only
+//! * **Read path (hot):** the pinned internal nodes and the shared
+//!   [`crate::cache::LeafCache`] both store `Arc<SoaNode>`; traversal ([`crate::query`], [`crate::knn`]) only
 //!   ever touches columns. Cache misses transcode straight from the raw
 //!   page bytes into a reusable [`crate::scratch::QueryScratch`] buffer —
 //!   no `Vec<Entry>`, no per-visit allocation.

@@ -1,11 +1,12 @@
 //! The page-level R-tree runtime shared by all variants.
 //!
 //! An [`RTree`] is a handle: a device, a root page id, the root's level,
-//! and a node cache. Every bulk loader in [`crate::bulk`] produces this
-//! same representation, so query costs are directly comparable — only the
-//! *shape* of the tree differs between variants, exactly as in the paper.
+//! and its pinned internal nodes. Every bulk loader in [`crate::bulk`]
+//! produces this same representation, so query costs are directly
+//! comparable — only the *shape* of the tree differs between variants,
+//! exactly as in the paper.
 
-use crate::cache::{CachePolicy, CacheTally, FrozenMap, LeafCache, ShardedNodeCache};
+use crate::cache::{CacheTally, LeafCache, PinnedNodes, PinnedView};
 use crate::meta::TreeMeta;
 use crate::page::NodePage;
 use crate::params::TreeParams;
@@ -16,8 +17,9 @@ use std::sync::Arc;
 
 /// A height-balanced R-tree stored on a block device.
 ///
-/// The handle is `Send + Sync` (statically asserted below): the node
-/// cache is internally sharded ([`crate::cache`]) and the device is
+/// The handle is `Send + Sync` (statically asserted below): queries read
+/// the pinned internal nodes through a lock-free snapshot
+/// ([`crate::cache`]) and the device is
 /// `Send + Sync` by trait bound, so any number of threads may run
 /// queries on one `&RTree` concurrently. Mutation (`&mut self` dynamic
 /// updates) follows the usual exclusive-borrow rules.
@@ -27,7 +29,9 @@ pub struct RTree<const D: usize> {
     root: BlockId,
     root_level: u8,
     len: u64,
-    cache: ShardedNodeCache<D>,
+    /// Internal nodes pinned in memory, never evicted (the paper's
+    /// query setup; see [`crate::cache`]).
+    pinned: PinnedNodes<D>,
     /// Optional shared leaf cache + the epoch this tree's pages are
     /// keyed under (see [`crate::cache::LeafCache`]). Attached before
     /// the handle is shared, then read without any lock on the hot path.
@@ -61,15 +65,15 @@ impl<const D: usize> RTree<D> {
             root,
             root_level,
             len,
-            cache: ShardedNodeCache::new(CachePolicy::InternalNodes),
+            pinned: PinnedNodes::default(),
             leaf_cache: None,
         }
     }
 
     /// Reopens a tree from persisted metadata — the open path used by
     /// `pr-store` after it has validated checksums and picked a committed
-    /// snapshot. Produces the same handle as [`RTree::attach`] (fresh
-    /// sharded cache; [`RTree::warm_cache`] works as usual) but validates
+    /// snapshot. Produces the same handle as [`RTree::attach`] (nothing
+    /// pinned yet; [`RTree::warm_cache`] works as usual) but validates
     /// the metadata against the device instead of trusting it: the root
     /// must be an allocated block and the device's block size must match
     /// the recorded page size.
@@ -149,20 +153,11 @@ impl<const D: usize> RTree<D> {
         &self.dev
     }
 
-    /// Swaps the cache policy, dropping all cached nodes.
-    pub fn set_cache_policy(&self, policy: CachePolicy) {
-        self.cache.set_policy(policy);
-    }
-
-    /// `(hits, misses)` of the node cache. Totals are exact under
-    /// concurrent queries (atomic counters; every lookup counts once).
+    /// `(hits, misses)` of the pinned internal nodes: every node lookup
+    /// counts once, so a leaf visit is a miss. Totals are exact under
+    /// concurrent queries.
     pub fn cache_stats(&self) -> (u64, u64) {
-        self.cache.hit_stats()
-    }
-
-    /// The node cache itself (read-only view for tests/tools).
-    pub fn cache(&self) -> &ShardedNodeCache<D> {
-        &self.cache
+        self.pinned.hit_stats()
     }
 
     /// Attaches a shared [`LeafCache`]: leaf pages of this tree are
@@ -182,20 +177,24 @@ impl<const D: usize> RTree<D> {
         self.leaf_cache.as_ref().map(|(c, e)| (c, *e))
     }
 
-    /// Reads a node through the cache in decoded AoS form. Returns the
-    /// node and whether the read hit the device (`true` = one real I/O).
+    /// Reads a node in decoded AoS form, pinning it if it is internal.
+    /// Returns the node and whether the read hit the device (`true` =
+    /// one real I/O).
     ///
-    /// This is the **maintenance/write boundary**: the cache stores
-    /// [`SoaNode`]s, so a cache hit converts back to a [`NodePage`]
+    /// This is the **maintenance/write boundary**: pinned nodes are
+    /// [`SoaNode`]s, so a hit converts back to a [`NodePage`]
     /// (one allocation). Dynamic updates, validation, and the bulk-load
     /// inspectors use this; the query hot path goes through
     /// [`RTree::with_soa_node`] instead and never materializes entries.
     pub fn read_node(&self, page: BlockId) -> Result<(Arc<NodePage<D>>, bool), EmError> {
-        if let Some(n) = self.cache.get(page) {
+        if let Some(n) = self.pinned.get(page) {
             return Ok((Arc::new(n.to_page()), false));
         }
         let node = NodePage::read(self.dev.as_ref(), page)?;
-        self.cache.admit(page, &Arc::new(SoaNode::from_page(&node)));
+        if !node.is_leaf() {
+            self.pinned
+                .admit([(page, Arc::new(SoaNode::from_page(&node)))]);
+        }
         Ok((Arc::new(node), true))
     }
 
@@ -203,42 +202,36 @@ impl<const D: usize> RTree<D> {
     /// and runs `f` against its SoA view *in place*, returning `f`'s
     /// result and whether the read hit the device.
     ///
-    /// * Cache hit: `f` runs against the cached [`SoaNode`] — on the
-    ///   post-warm frozen snapshot this is one `HashMap` probe with no
-    ///   lock and no `Arc` clone.
-    /// * Miss: the raw page is read into `page_buf` and transcoded into
+    /// * Pinned: `f` runs against the query's snapshot of the pinned
+    ///   [`SoaNode`] — one `HashMap` probe, no lock, no `Arc` clone.
+    /// * Otherwise the shared [`LeafCache`], if attached, is probed; on
+    ///   a miss the raw page is read into `page_buf` and transcoded into
     ///   `soa` (both caller-owned, reused across queries via
-    ///   [`crate::scratch::QueryScratch`]), allocating nothing unless
-    ///   the cache policy wants to retain the node.
+    ///   [`crate::scratch::QueryScratch`]). An internal node read this
+    ///   way is queued in `view` and pinned when the query finishes.
     ///
-    /// Hit/miss accounting goes into `tally`; flush it once per query
-    /// with [`RTree::record_cache_tally`].
+    /// Hit/miss accounting goes into `view`; finish it once per query
+    /// with [`RTree::finish_view`].
     pub(crate) fn with_soa_node<R>(
         &self,
         page: BlockId,
-        frozen: Option<&FrozenMap<D>>,
-        tally: &mut CacheTally,
+        view: &mut PinnedView<D>,
         page_buf: &mut Vec<u8>,
         soa: &mut SoaNode<D>,
         f: impl FnOnce(&SoaNode<D>) -> R,
     ) -> Result<(R, bool), EmError> {
-        let mut f = Some(f);
-        if let Some(r) = self
-            .cache
-            .lookup_with(page, frozen, |n| (f.take().expect("first use"))(n))
-        {
-            tally.hits += 1;
-            return Ok((r, false));
+        if let Some(n) = view.map.get(&page) {
+            view.tally.hits += 1;
+            return Ok((f(n), false));
         }
-        tally.misses += 1;
+        view.tally.misses += 1;
         // Second chance: the shared leaf cache (store-backed trees).
-        // Under the paper's InternalNodes policy every miss here is a
-        // leaf, so this probe is exactly the per-leaf device read it
-        // replaces. A hit costs one shard lock + Arc clone and no I/O.
+        // On a warmed tree every miss here is a leaf, so this probe is
+        // exactly the per-leaf device read it replaces. A hit costs one
+        // shard lock + Arc clone and no I/O.
         if let Some((cache, epoch)) = &self.leaf_cache {
             if let Some(node) = cache.get(*epoch, page) {
-                tally.leaf_hits += 1;
-                let f = f.take().expect("leaf-cache hit runs f once");
+                view.tally.leaf_hits += 1;
                 return Ok((f(&node), false));
             }
         }
@@ -250,44 +243,47 @@ impl<const D: usize> RTree<D> {
             transcoded = soa.refill_from_bytes(bytes);
         })?;
         transcoded?;
-        if self.cache.wants(soa.level()) {
-            self.cache.admit(page, &Arc::new(soa.clone()));
-        } else if soa.is_leaf() {
-            if let Some((cache, epoch)) = &self.leaf_cache {
-                tally.leaf_misses += 1;
-                // Second-touch admission: the closure (and its clone of
-                // the leaf) runs only when the cache actually inserts,
-                // so a cold scan's one-time touches allocate nothing.
-                cache.admit_with(*epoch, page, || Arc::new(soa.clone()));
-            }
+        if !soa.is_leaf() {
+            view.missed.push((page, Arc::new(soa.clone())));
+        } else if let Some((cache, epoch)) = &self.leaf_cache {
+            view.tally.leaf_misses += 1;
+            // Second-touch admission: the closure (and its clone of
+            // the leaf) runs only when the cache actually inserts,
+            // so a cold scan's one-time touches allocate nothing.
+            cache.admit_with(*epoch, page, || Arc::new(soa.clone()));
         }
-        let f = f.take().expect("miss path runs f once");
         Ok((f(soa), true))
     }
 
-    /// The cache's post-warm snapshot, cloned once per query.
-    pub(crate) fn frozen_snapshot(&self) -> Option<FrozenMap<D>> {
-        self.cache.frozen_snapshot()
+    /// Starts a query's node access: one snapshot of the pinned map.
+    pub(crate) fn pinned_view(&self) -> PinnedView<D> {
+        self.pinned.view()
     }
 
-    /// Flushes a per-query [`CacheTally`] into the shared counters (the
-    /// node cache's and, when attached, the leaf cache's).
-    pub(crate) fn record_cache_tally(&self, tally: CacheTally) {
-        self.cache.record(tally);
+    /// Ends a query's node access: pins the internal nodes it read and
+    /// flushes its tally into the shared counters (the tree's, the
+    /// attached leaf cache's and the registry's). Returns the tally.
+    pub(crate) fn finish_view(&self, view: PinnedView<D>) -> CacheTally {
+        let tally = self.pinned.finish(view);
         if let Some((cache, _)) = &self.leaf_cache {
             cache.record(tally);
         }
         crate::obs::record_cache(&tally);
+        tally
     }
 
-    /// Writes a node page and invalidates (then re-admits) its cache slot.
-    /// Used by dynamic updates. The AoS page is transcoded to its SoA
-    /// form at this boundary so queries keep reading columns.
+    /// Writes a node page, then pins it (internal) or unpins it (leaf)
+    /// according to its new level. Used by dynamic updates. The AoS page
+    /// is transcoded to its SoA form at this boundary so queries keep
+    /// reading columns.
     pub fn write_node(&self, page: BlockId, node: &NodePage<D>) -> Result<(), EmError> {
         node.write(self.dev.as_ref(), page)?;
-        let arc = Arc::new(SoaNode::from_page(node));
-        self.cache.invalidate(page);
-        self.cache.admit(page, &arc);
+        if node.is_leaf() {
+            self.pinned.invalidate(page);
+        } else {
+            self.pinned
+                .admit([(page, Arc::new(SoaNode::from_page(node)))]);
+        }
         // Leaf caches are for immutable store-backed trees, but if one
         // is attached anyway, never leave a stale copy behind.
         if let Some((cache, epoch)) = &self.leaf_cache {
@@ -303,11 +299,10 @@ impl<const D: usize> RTree<D> {
         Ok(page)
     }
 
-    /// Pre-loads every internal node into the cache (the paper's setup:
-    /// "in all our experiments we cached all internal nodes"), then
-    /// freezes the pinned map so concurrent queries read it without
-    /// locking ([`crate::cache`] module docs). A no-op under
-    /// [`CachePolicy::None`].
+    /// Pins every internal node (the paper's setup: "in all our
+    /// experiments we cached all internal nodes"), so queries read only
+    /// leaves from the device. Without it, internal nodes are pinned
+    /// lazily as queries first read them ([`crate::cache`] module docs).
     pub fn warm_cache(&self) -> Result<(), EmError> {
         if self.root_level == 0 {
             // Single-leaf tree: nothing internal to cache.
@@ -322,7 +317,6 @@ impl<const D: usize> RTree<D> {
                 }
             }
         }
-        self.cache.freeze();
         Ok(())
     }
 
@@ -451,7 +445,9 @@ impl TreeStructure {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dynamic::SplitPolicy;
     use crate::entry::Entry;
+    use crate::query::brute_force_window;
     use pr_em::MemDevice;
     use pr_geom::Rect;
 
@@ -500,18 +496,22 @@ mod tests {
 
     #[test]
     fn cache_policy_controls_device_reads() {
-        let t = two_leaf_tree();
+        let t = packed_tree();
         t.warm_cache().unwrap();
         let before = t.device().io_stats();
         let (_, io1) = t.read_node(t.root()).unwrap();
-        assert!(!io1, "root cached after warm_cache");
+        assert!(!io1, "root pinned after warm_cache");
         assert_eq!(t.device().io_stats().since(before).reads, 0);
 
-        t.set_cache_policy(CachePolicy::None);
-        let before = t.device().io_stats();
-        let (_, io2) = t.read_node(t.root()).unwrap();
+        // A fresh handle on the same pages has nothing pinned: its first
+        // root read is a device read, and that read pins the root.
+        let fresh = RTree::<2>::from_parts(Arc::clone(t.device()), t.meta()).unwrap();
+        let before = fresh.device().io_stats();
+        let (_, io2) = fresh.read_node(fresh.root()).unwrap();
         assert!(io2);
-        assert_eq!(t.device().io_stats().since(before).reads, 1);
+        assert_eq!(fresh.device().io_stats().since(before).reads, 1);
+        let (_, io3) = fresh.read_node(fresh.root()).unwrap();
+        assert!(!io3, "read_node pins internal nodes");
     }
 
     #[test]
@@ -585,7 +585,42 @@ mod tests {
         modified.entries.pop();
         t.write_node(t.root(), &modified).unwrap();
         let (back, io) = t.read_node(t.root()).unwrap();
-        assert!(!io, "rewritten node re-admitted to cache");
+        assert!(!io, "rewritten node re-pinned");
         assert_eq!(back.len(), 1);
+
+        // Guttman inserts and deletes on a warmed tree: splits pin the
+        // internal nodes they write, and every answer stays exact.
+        let mut t = packed_tree();
+        t.warm_cache().unwrap();
+        let mut items = t.items().unwrap();
+        for i in 0..60u32 {
+            let f = (i * 7 % 41) as f64;
+            let it = Item::new(Rect::xyxy(f, f % 3.0, f + 0.5, f % 3.0 + 1.0), 100 + i);
+            t.insert(it, SplitPolicy::Quadratic).unwrap();
+            items.push(it);
+        }
+        let gone: Vec<Item<2>> = items.iter().copied().step_by(3).collect();
+        for it in &gone {
+            assert!(t.delete(it, SplitPolicy::Quadratic).unwrap());
+        }
+        items.retain(|it| !gone.contains(it));
+        for (xmin, xmax) in [(0.0, 50.0), (3.0, 9.5), (20.0, 21.0), (60.0, 70.0)] {
+            let q = Rect::xyxy(xmin, 0.0, xmax, 4.0);
+            let (got, stats) = t.window_with_stats(&q).unwrap();
+            let mut got: Vec<u32> = got.iter().map(|i| i.id).collect();
+            let mut want: Vec<u32> = brute_force_window(&items, &q)
+                .iter()
+                .map(|i| i.id)
+                .collect();
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want, "window {q:?}");
+            assert_eq!(
+                stats.device_reads, stats.leaves_visited,
+                "every internal node stays pinned through the updates"
+            );
+        }
+        let (_, io) = t.read_node(t.root()).unwrap();
+        assert!(!io, "root still pinned after the updates");
     }
 }

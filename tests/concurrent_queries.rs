@@ -1,4 +1,4 @@
-//! Concurrent-read correctness for the sharded-cache runtime.
+//! Concurrent-read correctness for the pinned-node runtime.
 //!
 //! The refactor's contract: any number of threads may query one
 //! `&RTree` concurrently, and neither results nor the exact I/O / cache
@@ -201,19 +201,31 @@ fn concurrent_knn_agrees_with_serial() {
 
 #[test]
 fn uncached_concurrent_queries_still_correct() {
-    // CachePolicy::None: every visit is a device read; the device itself
-    // synchronizes. Results must still be exact.
+    // Fresh, unwarmed handles: internal nodes are read from the device
+    // and pinned lazily, copy-on-write, while other threads still hold
+    // snapshots. Answers must stay exact and every node visit must
+    // count exactly once.
     let items = random_items(2_000, 71);
-    let tree = build(&items);
-    tree.set_cache_policy(CachePolicy::None);
+    let built = build(&items);
+    let fresh = || RTree::<2>::from_parts(Arc::clone(built.device()), built.meta()).unwrap();
     let windows = random_windows(32, 72);
 
-    let serial: Vec<Vec<u32>> = windows
+    let serial_tree = fresh();
+    let serial: Vec<(Vec<u32>, QueryStats)> = windows
         .iter()
-        .map(|q| sorted_ids(&tree.window(q).unwrap()))
+        .map(|q| {
+            let (hits, stats) = serial_tree.window_with_stats(q).unwrap();
+            (sorted_ids(&hits), stats)
+        })
         .collect();
+    let visits: u64 = serial.iter().map(|(_, s)| s.nodes_visited).sum();
+
+    let tree = fresh();
     let parallel = tree.par_windows(&windows, 6).unwrap();
-    for (i, (pr, _)) in parallel.iter().enumerate() {
-        assert_eq!(sorted_ids(pr), serial[i]);
+    for (i, (pr, ps)) in parallel.iter().enumerate() {
+        assert_eq!(sorted_ids(pr), serial[i].0, "query {i}");
+        assert_eq!(ps.leaves_visited, serial[i].1.leaves_visited);
     }
+    let (h, m) = tree.cache_stats();
+    assert_eq!(h + m, visits, "hits + misses equal the serial node visits");
 }
