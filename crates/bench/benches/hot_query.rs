@@ -6,7 +6,9 @@
 //! representation differs. Before timing anything it runs a correctness
 //! gate over **all five loaders**: results (order included) and
 //! [`pr_tree::QueryStats`] — leaves, internal visits, device reads —
-//! must be identical between engines, else the process aborts.
+//! must be identical between engines, else the process aborts. A second
+//! gate checks the k-NN tie order on tie-heavy data: the Theorem-3
+//! shifted grid, queried on data points, for k from 1 to past a leaf.
 //!
 //! Besides the criterion groups, the run writes one machine-readable
 //! row to `BENCH_hot_query.json` at the repo root (old vs new ns/query
@@ -25,7 +27,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pr_data::queries::square_queries;
-use pr_data::uniform_points;
+use pr_data::{uniform_points, worst_case_grid};
 use pr_em::{BlockDevice, MemDevice};
 use pr_geom::{Point, Rect};
 use pr_tree::bulk::LoaderKind;
@@ -88,6 +90,48 @@ fn correctness_gate(items: &[pr_geom::Item<2>], queries: &[Rect<2>]) {
         "hot_query gate: results + leaf I/O identical across {:?}",
         LoaderKind::all().map(|k| k.name())
     );
+}
+
+/// Columns × rows of the tie-order gate's Theorem-3 grid.
+const TIE_GRID: (u32, u32) = (8, 113);
+/// k values of the tie-order gate: one item, the bench's k, one full
+/// leaf, and past it.
+const TIE_KS: [usize; 4] = [1, 10, 113, 200];
+
+/// The k-NN tie-order gate: on the Theorem-3 shifted grid, every loader
+/// must return the reference engine's items, distance bits and
+/// `QueryStats`. Queries sit on data points — distance 0, tied with
+/// every node MBR that contains them, so the nodes-first rule decides
+/// which nodes are read — and on the midlines between columns.
+fn tie_order_gate() {
+    let items = worst_case_grid(TIE_GRID.0, TIE_GRID.1);
+    let step = items.len() / 16;
+    let points: Vec<Point<2>> = items
+        .iter()
+        .step_by(step)
+        .flat_map(|it| {
+            let (x, y) = (it.rect.lo_at(0), it.rect.lo_at(1));
+            [Point::new([x, y]), Point::new([x + 0.5, y])]
+        })
+        .collect();
+    for kind in LoaderKind::all() {
+        let tree = build(kind, &items);
+        let oracle = ReferenceEngine::new(&tree).expect("oracle");
+        for p in &points {
+            for k in TIE_KS {
+                let (got, gs) = tree.nearest_neighbors_with_stats(p, k).expect("knn");
+                let (want, ws) = oracle.nearest_neighbors_with_stats(p, k).expect("oracle");
+                assert_eq!(
+                    got,
+                    want,
+                    "{} k={k}: tie-grid knn results differ",
+                    kind.name()
+                );
+                assert_eq!(gs, ws, "{} k={k}: tie-grid knn stats differ", kind.name());
+            }
+        }
+    }
+    println!("hot_query tie gate: worst_case_grid{TIE_GRID:?} k-NN identical for k in {TIE_KS:?}");
 }
 
 /// Best-of-`reps` wall time of one full pass over the workload, in
@@ -207,7 +251,11 @@ fn json_row(
         )
         .bool("results_identical", true)
         .bool("leaf_io_identical", true)
-        .strings("loaders_checked", &["PR", "H", "H4", "TGS", "STR"]);
+        .strings("loaders_checked", &["PR", "H", "H4", "TGS", "STR"])
+        .str(
+            "knn_tie_gate",
+            &format!("worst_case_grid{TIE_GRID:?}, k in {TIE_KS:?}"),
+        );
     row.finish()
 }
 
@@ -215,6 +263,7 @@ fn bench_hot_query(c: &mut Criterion) {
     let items = uniform_points(N, 7);
     let queries = square_queries(&Rect::xyxy(0.0, 0.0, 1.0, 1.0), 0.01, N_QUERIES, 11);
     correctness_gate(&items, &queries);
+    tie_order_gate();
 
     let tree = build(LoaderKind::Pr, &items);
     let oracle = ReferenceEngine::new(&tree).expect("oracle");

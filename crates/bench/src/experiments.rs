@@ -593,7 +593,8 @@ pub fn dyn_experiment(scale: Scale) -> Vec<Table> {
     vec![deg, lpr_table]
 }
 
-/// Structural ablations of the PR-tree (DESIGN.md §7): priority-leaf
+/// Structural ablations of the PR-tree (the construction choices of the
+/// paper's §2.1–§2.2; see PAPER.md): priority-leaf
 /// size and kd-split snapping, measured in query I/O and utilization.
 pub fn ablation(scale: Scale) -> Table {
     use pr_tree::bulk::pr::PrTreeLoader;

@@ -17,8 +17,9 @@
 //! * [`worst_case::worst_case_grid`] — the Theorem-3 shifted grid
 //!   (Halton–Hammersley columns) on which H, H4 and TGS all visit
 //!   `Θ(N/B)` leaves for an empty query.
-//! * [`tiger::TigerProfile`] — TIGER/Line-like road networks (see
-//!   DESIGN.md §5 for the substitution rationale).
+//! * [`tiger::TigerProfile`] — TIGER/Line-like road networks, a
+//!   generated stand-in for the paper's TIGER/Line 1997 inputs (see the
+//!   [`tiger`] module docs for why the substitution is sound).
 //! * [`queries`] — the matching query workloads (squares by area
 //!   fraction, skew-transformed squares, CLUSTER strips, Theorem-3
 //!   lines).

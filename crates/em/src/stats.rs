@@ -43,12 +43,6 @@ impl IoCounters {
             writes: self.writes.load(Ordering::Relaxed),
         }
     }
-
-    /// Resets both counters to zero (between experiments).
-    pub fn reset(&self) {
-        self.reads.store(0, Ordering::Relaxed);
-        self.writes.store(0, Ordering::Relaxed);
-    }
 }
 
 /// Shared, thread-safe hit/miss counters for any cache layer.
@@ -93,12 +87,6 @@ impl HitCounters {
             self.misses.load(Ordering::Relaxed),
         )
     }
-
-    /// Resets both counters to zero.
-    pub fn reset(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A point-in-time copy of the counters.
@@ -116,8 +104,9 @@ impl IoStats {
         self.reads + self.writes
     }
 
-    /// Counter delta since `earlier` (saturating, so a reset in between
-    /// yields zeros rather than nonsense).
+    /// Counter delta since `earlier` (saturating, so a baseline taken
+    /// from another, larger counter set yields zeros rather than
+    /// nonsense).
     pub fn since(&self, earlier: IoStats) -> IoStats {
         IoStats {
             reads: self.reads.saturating_sub(earlier.reads),
@@ -187,22 +176,12 @@ mod tests {
     }
 
     #[test]
-    fn reset_zeroes() {
-        let c = IoCounters::new();
-        c.add_writes(9);
-        c.reset();
-        assert_eq!(c.snapshot().total(), 0);
-    }
-
-    #[test]
-    fn hit_counters_accumulate_and_reset() {
+    fn hit_counters_accumulate() {
         let h = HitCounters::new();
         h.add_hits(3);
         h.add_misses(1);
         h.add_hits(0); // no-op, must not touch the atomic
         assert_eq!(h.snapshot(), (3, 1));
-        h.reset();
-        assert_eq!(h.snapshot(), (0, 0));
     }
 
     #[test]
@@ -222,13 +201,14 @@ mod tests {
     }
 
     #[test]
-    fn since_saturates_after_reset() {
+    fn since_saturates() {
         let c = IoCounters::new();
         c.add_reads(10);
-        let before = c.snapshot();
-        c.reset();
-        c.add_reads(1);
-        let delta = c.snapshot().since(before);
+        let later = c.snapshot();
+        let other = IoCounters::new();
+        other.add_reads(1);
+        // A baseline taken from a different (larger) counter set.
+        let delta = other.snapshot().since(later);
         assert_eq!(delta.reads, 0);
     }
 

@@ -10,8 +10,9 @@
 //! once the paper's fanout (113 entries per 4KB node) is fixed and all
 //! internal nodes are cached.
 //!
-//! Every kernel has a scalar reference twin (`*_scalar`) that calls the
-//! corresponding [`Rect`] predicate per element. The twins exist so
+//! Every predicate and `min_dist2` kernel has a scalar reference twin
+//! (`*_scalar`) that calls the corresponding [`Rect`] predicate per
+//! element. The twins exist so
 //! property tests can prove the vector forms **bit-identical** to the
 //! scalar geometry — same booleans, same `f64` bits for distances — which
 //! is what allows the query engine to swap them in without perturbing
@@ -176,6 +177,40 @@ pub fn min_dist2_batch_scalar<const D: usize>(
 ) {
     for (i, o) in out.iter_mut().enumerate() {
         *o = gather_rect(lo, hi, i).min_dist2(p);
+    }
+}
+
+/// Writes `out[i]` = squared Euclidean distance from `p` to the point of
+/// rectangle `i` farthest from it — an upper bound on
+/// [`Rect::min_dist2`] for every rectangle that rectangle `i` contains.
+/// k-NN search uses it to bound the k-th distance before any item has
+/// been seen: a node whose children are all non-empty holds at least
+/// one item within each child's max-dist.
+///
+/// Dimensions accumulate in index order, as in [`min_dist2_batch`], and
+/// per dimension the farthest extent `max(c - lo, hi - c)` dominates
+/// the contained rectangle's clamp `max(lo' - c, c - hi', 0)` term by
+/// term; rounding is monotone, so the bound holds bit-for-bit, not just
+/// in exact arithmetic. This kernel has no scalar twin: its contract is
+/// that containment property, which `tests/batch_props.rs` checks.
+pub fn max_dist2_batch<const D: usize>(
+    lo: &[&[f64]; D],
+    hi: &[&[f64]; D],
+    p: &Point<D>,
+    out: &mut [f64],
+) {
+    let n = out.len();
+    check_columns(lo, hi, n);
+    let lo_cols: [&[f64]; D] = std::array::from_fn(|d| &lo[d][..n]);
+    let hi_cols: [&[f64]; D] = std::array::from_fn(|d| &hi[d][..n]);
+    for (i, o) in out.iter_mut().enumerate() {
+        let mut d2 = 0.0;
+        for d in 0..D {
+            let c = p.coord(d);
+            let delta = (c - lo_cols[d][i]).max(hi_cols[d][i] - c);
+            d2 += delta * delta;
+        }
+        *o = d2;
     }
 }
 

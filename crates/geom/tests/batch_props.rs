@@ -1,9 +1,10 @@
 //! Property tests proving the SoA batch kernels bit-identical to the
-//! scalar `Rect` predicates on arbitrary rectangle columns.
+//! scalar `Rect` predicates on arbitrary rectangle columns, and the
+//! max-dist² kernel an upper bound for every contained rectangle.
 
 use pr_geom::batch::{
     contains_mask, contains_mask_scalar, gather_rect, intersects_count, intersects_mask,
-    intersects_mask_scalar, min_dist2_batch, min_dist2_batch_scalar,
+    intersects_mask_scalar, max_dist2_batch, min_dist2_batch, min_dist2_batch_scalar,
 };
 use pr_geom::{Point, Rect};
 use proptest::prelude::*;
@@ -126,6 +127,53 @@ proptest! {
         min_dist2_batch_scalar(&lo, &hi, &p, &mut dslow);
         for (f, s) in dfast.iter().zip(&dslow) {
             prop_assert_eq!(f.to_bits(), s.to_bits());
+        }
+    }
+
+    /// The k-NN bound's soundness: for every rectangle and query point,
+    /// the max-dist² kernel is at least the `min_dist2` of every
+    /// rectangle it contains — its corners (where equality holds in
+    /// exact arithmetic) and random sub-rectangles — bit for bit.
+    #[test]
+    fn max_dist2_bounds_every_contained_rectangle(
+        raw in arb_columns(120),
+        fracs in prop::collection::vec(
+            (0.0..1.0f64, 0.0..1.0f64, 0.0..1.0f64, 0.0..1.0f64),
+            1..12,
+        ),
+        px in -150.0..150.0f64,
+        py in -150.0..150.0f64,
+    ) {
+        let (lo, hi) = to_columns(&raw);
+        let (lo, hi): ([&[f64]; 2], [&[f64]; 2]) = ([&lo[0], &lo[1]], [&hi[0], &hi[1]]);
+        let p = Point::new([px, py]);
+        let mut bound = vec![0.0f64; raw.len()];
+        max_dist2_batch(&lo, &hi, &p, &mut bound);
+        for (i, &b) in bound.iter().enumerate() {
+            let outer = gather_rect(&lo, &hi, i);
+            let mut inner: Vec<Rect<2>> = Vec::new();
+            for cx in [outer.lo_at(0), outer.hi_at(0)] {
+                for cy in [outer.lo_at(1), outer.hi_at(1)] {
+                    inner.push(Rect::xyxy(cx, cy, cx, cy));
+                }
+            }
+            for &(a0, b0, a1, b1) in &fracs {
+                let sub = |l: f64, h: f64, a: f64, b: f64| {
+                    let l2 = (l + a * (h - l)).clamp(l, h);
+                    (l2, (l2 + b * (h - l2)).clamp(l2, h))
+                };
+                let (x0, x1) = sub(outer.lo_at(0), outer.hi_at(0), a0, b0);
+                let (y0, y1) = sub(outer.lo_at(1), outer.hi_at(1), a1, b1);
+                inner.push(Rect::xyxy(x0, y0, x1, y1));
+            }
+            inner.push(outer);
+            for r in &inner {
+                prop_assert!(outer.contains_rect(r));
+                prop_assert!(
+                    r.min_dist2(&p) <= b,
+                    "rect {} bound {} < min_dist2 {} of {:?}", i, b, r.min_dist2(&p), r
+                );
+            }
         }
     }
 }

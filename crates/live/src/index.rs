@@ -52,6 +52,7 @@ use parking_lot::{Mutex, RwLock};
 use pr_geom::{Item, Point, Rect};
 use pr_store::{ReadPath, Store};
 use pr_tree::dynamic::{same_identity, GeometricPolicy, Tombstones};
+use pr_tree::knn::{finish_nearest, retain_nearest};
 use pr_tree::{LeafCache, QueryScratch, QueryStats, RTree, TreeParams};
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -1728,17 +1729,20 @@ impl<const D: usize> LiveSnapshot<D> {
         Ok(out)
     }
 
-    /// k-nearest-neighbors with caller-owned buffers: each component
-    /// answers through the decode-free best-first engine with the
-    /// query's shared tombstone filter applied **inside the loop**
-    /// ([`RTree::nearest_neighbors_filtered_into`]), so every component
-    /// yields its `k` nearest *live* items directly — no over-fetch by
-    /// the outstanding tombstone count, no degradation toward a
-    /// component scan as tombstones approach the compaction trigger.
-    /// The lists are merged with the memtable/sealed scans and the
-    /// global top `k` kept; one filter spans sealed batch + every
-    /// component, keeping the multiset subtraction exact (see
-    /// `LprTree::nearest_neighbors_into` for the argument).
+    /// k-nearest-neighbors with caller-owned buffers; `out` doubles as
+    /// the merge list, so reused buffers allocate nothing in steady
+    /// state. The memtable's k nearest seed the list, then the sealed
+    /// batch and each component add theirs, every source searching only
+    /// within the exact squared k-th distance of the list so far
+    /// ([`pr_tree::knn::retain_nearest`]): a component gets it as
+    /// `bound2` of the bounded search
+    /// ([`RTree::nearest_neighbors_filtered_into`]), with the query's
+    /// shared tombstone filter applied **inside** the search, so it
+    /// yields only live items that can still enter the global top `k`.
+    /// One filter spans sealed batch + every component, keeping the
+    /// multiset subtraction exact, and distances stay squared until the
+    /// final sort (see `LprTree::nearest_neighbors_into` for the
+    /// argument).
     pub fn nearest_neighbors_into(
         &self,
         query: &Point<D>,
@@ -1752,31 +1756,28 @@ impl<const D: usize> LiveSnapshot<D> {
             return Ok(stats);
         }
         let t0 = std::time::Instant::now();
-        let mut merged: Vec<(Item<D>, f64)> = self
-            .memtable
-            .iter()
-            .map(|i| (*i, i.rect.min_dist2(query).sqrt()))
-            .collect();
+        out.extend(self.memtable.iter().map(|i| (*i, i.rect.min_dist2(query))));
+        let mut bound2 = retain_nearest(out, k);
         let mut filter = self.tombstones.filter();
         if let Some(sealed) = &self.sealed {
-            merged.extend(
-                sealed
-                    .iter()
-                    .filter(|i| filter.admit(i))
-                    .map(|i| (*i, i.rect.min_dist2(query).sqrt())),
-            );
+            for i in sealed.iter() {
+                let d2 = i.rect.min_dist2(query);
+                if d2 > bound2 {
+                    continue;
+                }
+                if filter.admit(i) {
+                    out.push((*i, d2));
+                }
+            }
+            bound2 = retain_nearest(out, k);
         }
-        let mut tmp = Vec::new();
         for c in &self.components {
-            let s = c.nearest_neighbors_filtered_into(query, k, scratch, &mut tmp, |it| {
-                filter.admit(it)
-            })?;
+            let s =
+                c.nearest_neighbors_filtered_into(query, k, bound2, scratch, out, &mut filter)?;
             stats.absorb_traversal(&s);
-            merged.append(&mut tmp);
+            bound2 = retain_nearest(out, k);
         }
-        merged.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.id.cmp(&b.0.id)));
-        merged.truncate(k);
-        out.extend(merged);
+        finish_nearest(out);
         stats.results = out.len() as u64;
         crate::obs::metrics()
             .knn_query_us

@@ -284,3 +284,116 @@ fn knn_matches_oracle_after_churn() {
     let got_pairs: Vec<(u32, f64)> = got.iter().map(|(i, d)| (i.id, *d)).collect();
     assert_eq!(got_pairs, want[..15].to_vec());
 }
+
+/// Brute-force k-NN over a multiset of live items, in the k-NN total
+/// order (squared distance, id, coordinate bits).
+fn brute_knn(live: &[Item<2>], q: &Point<2>, k: usize) -> Vec<(Item<2>, f64)> {
+    let bits = |i: &Item<2>| {
+        [
+            i.rect.lo_at(0).to_bits(),
+            i.rect.lo_at(1).to_bits(),
+            i.rect.hi_at(0).to_bits(),
+            i.rect.hi_at(1).to_bits(),
+        ]
+    };
+    let mut all: Vec<(Item<2>, f64)> = live.iter().map(|i| (*i, i.rect.min_dist2(q))).collect();
+    all.sort_by(|a, b| {
+        a.1.total_cmp(&b.1)
+            .then(a.0.id.cmp(&b.0.id))
+            .then(bits(&a.0).cmp(&bits(&b.0)))
+    });
+    all.truncate(k);
+    all.into_iter().map(|(i, d2)| (i, d2.sqrt())).collect()
+}
+
+/// Every query point × k of the multiset test, against the oracle.
+fn assert_knn_matches_oracle(snap: &LiveSnapshot<2>, live: &[Item<2>]) {
+    assert_eq!(snap.len(), live.len() as u64);
+    let mut scratch = QueryScratch::new();
+    let mut nn = Vec::new();
+    for q in [
+        Point::new([0.0, 0.0]),
+        Point::new([12.0, 12.0]),
+        Point::new([13.5, 7.5]),
+        Point::new([27.0, 0.0]),
+        Point::new([40.0, 40.0]),
+    ] {
+        for k in [1usize, 2, 3, 7, 16, 33, 400] {
+            snap.nearest_neighbors_into(&q, k, &mut scratch, &mut nn)
+                .unwrap();
+            let want = brute_knn(live, &q, k);
+            assert_eq!(nn.len(), want.len(), "q={q:?} k={k}");
+            for (g, w) in nn.iter().zip(&want) {
+                assert_eq!(g.0, w.0, "q={q:?} k={k}: item");
+                assert_eq!(g.1.to_bits(), w.1.to_bits(), "q={q:?} k={k}: distance");
+            }
+        }
+    }
+}
+
+/// k-NN on a snapshot spanning memtable and ≥ 3 components, with
+/// tombstones in several components and re-inserted duplicates (a dead
+/// and a live copy of one `(id, rect)` key, keys deleted twice), equals
+/// a brute-force multiset oracle exactly: items, order and distance
+/// bits. Ids `i` and `i + 100` share a point, so every query meets tie
+/// groups; the bounded search carries the k-th distance from memtable
+/// to component to component, and must neither drop a live neighbor
+/// nor admit a dead copy.
+#[test]
+fn knn_matches_multiset_oracle_with_duplicates_and_tombstones() {
+    let dir = tmpdir("knn-multiset");
+    let opts = LiveOptions {
+        buffer_cap: 16,
+        background_merge: false,
+        backpressure_factor: 4,
+        ..LiveOptions::default()
+    };
+    let ix = LiveIndex::<2>::create(&dir, params(), opts).unwrap();
+    let site = |id: u32| {
+        let s = id % 100;
+        let (x, y) = ((s % 10) as f64 * 3.0, (s / 10) as f64 * 3.0);
+        Item::new(Rect::xyxy(x, y, x, y), id)
+    };
+    let mut live: Vec<Item<2>> = Vec::new();
+    let insert = |live: &mut Vec<Item<2>>, it: Item<2>| {
+        ix.insert(it).unwrap();
+        live.push(it);
+    };
+    let delete = |live: &mut Vec<Item<2>>, it: Item<2>| {
+        assert!(ix.delete(&it).unwrap(), "missing {it:?}");
+        let pos = live.iter().position(|l| *l == it).unwrap();
+        live.swap_remove(pos);
+    };
+    for id in 0..300 {
+        insert(&mut live, site(id));
+    }
+    // No tombstones yet: the components run with the max-dist bound.
+    let snap = ix.snapshot();
+    assert!(
+        snap.num_components() >= 2,
+        "{} components",
+        snap.num_components()
+    );
+    assert_knn_matches_oracle(&snap, &live);
+    for id in (0..300).step_by(9) {
+        delete(&mut live, site(id));
+    }
+    for id in (0..300).step_by(18) {
+        insert(&mut live, site(id));
+    }
+    for id in (0..300).step_by(36) {
+        delete(&mut live, site(id));
+    }
+    for id in (0..300).step_by(72) {
+        insert(&mut live, site(id));
+    }
+    let snap = ix.snapshot();
+    assert!(
+        snap.num_components() >= 3,
+        "{} components",
+        snap.num_components()
+    );
+    let tombstones = ix.stats().unwrap().tombstones;
+    assert!(tombstones >= 10, "{tombstones} tombstones");
+    assert_knn_matches_oracle(&snap, &live);
+}

@@ -248,10 +248,15 @@ mod tests {
         // retained must account for every seq ever assigned.
         let ring = Arc::new(EventRing::new(32));
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        // The writers start only once the snapshotter has taken its
+        // first snapshot, so it races them even when they are fast.
+        let started = Arc::new(std::sync::Barrier::new(5));
         let writers: Vec<_> = (0..4)
             .map(|t| {
                 let ring = Arc::clone(&ring);
+                let started = Arc::clone(&started);
                 std::thread::spawn(move || {
+                    started.wait();
                     for i in 0..2_000 {
                         ring.emit("w", format!("t={t} i={i}"));
                     }
@@ -261,10 +266,16 @@ mod tests {
         let snapshotter = {
             let ring = Arc::clone(&ring);
             let stop = Arc::clone(&stop);
+            let started = Arc::clone(&started);
             std::thread::spawn(move || {
                 let mut checked = 0u64;
+                let mut first = true;
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                     let log = ring.snapshot();
+                    if first {
+                        first = false;
+                        started.wait();
+                    }
                     for pair in log.events.windows(2) {
                         assert_eq!(
                             pair[1].seq,

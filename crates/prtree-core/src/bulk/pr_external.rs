@@ -17,7 +17,9 @@
 //! grid; the memory-fitting recursion used here (taken from the same
 //! section's closing remarks) has the same `O(N/B · log_{M/B} N/B)` I/O
 //! complexity for realistic `N/M` and produces the same tree, because
-//! the split rule is unchanged. DESIGN.md §5 records this substitution.
+//! the split rule is unchanged. The substitution trades the paper's
+//! grid bookkeeping for code reuse: the in-memory recursion is the one
+//! the static loader already runs, so both paths share one split rule.
 
 use crate::bulk::external::{finish_root, ExternalConfig};
 use crate::bulk::pr::PrTreeLoader;

@@ -27,6 +27,7 @@ use crate::bulk::pr::PrTreeLoader;
 use crate::bulk::BulkLoader;
 use crate::dynamic::policy::GeometricPolicy;
 use crate::dynamic::tombstone::{same_identity, Tombstones};
+use crate::knn::{finish_nearest, retain_nearest};
 use crate::params::TreeParams;
 use crate::query::QueryStats;
 use crate::scratch::QueryScratch;
@@ -198,27 +199,33 @@ impl<const D: usize> LprTree<D> {
         Ok((out, stats))
     }
 
-    /// [`LprTree::nearest_neighbors`] with caller-owned buffers. Each
-    /// component answers through the decode-free best-first engine with
-    /// the shared scratch and — the tombstone-aware part — the query's
-    /// multiset [`crate::dynamic::tombstone::TombstoneFilter`] applied
-    /// **inside** the best-first loop
-    /// ([`RTree::nearest_neighbors_filtered_into`]): a dead head popped
-    /// off a component's heap is skipped in place, so each component
-    /// returns exactly its `k` nearest *live* items. The per-component
-    /// lists are then merged and the global top `k` kept. The previous
-    /// implementation over-fetched every component by the outstanding
-    /// tombstone count, degenerating toward a full component scan as
-    /// tombstones approached the 50% compaction trigger.
+    /// [`LprTree::nearest_neighbors`] with caller-owned buffers; `out`
+    /// doubles as the merge list, so a reused `out` and `scratch`
+    /// allocate nothing in steady state.
+    ///
+    /// The buffer's k nearest seed the list. Each component then
+    /// answers through the bounded search
+    /// ([`RTree::nearest_neighbors_filtered_into`]) with two things
+    /// carried in: the query's multiset
+    /// [`crate::dynamic::tombstone::TombstoneFilter`], applied
+    /// **inside** the search so a component yields its nearest *live*
+    /// items directly, and as `bound2` the exact squared k-th distance
+    /// of the list so far ([`crate::knn::retain_nearest`]), so a
+    /// component reads only what can still enter the global top `k`.
+    /// Distances stay squared until the final sort.
     ///
     /// Sharing one filter across components is exact for the same
     /// reason window queries share one: for a key with `m` stored
-    /// copies and `c` tombstones, exactly `m − c` copies are admitted
-    /// in total, and aliased copies are bit-identical so *which* ones
-    /// survive is unobservable. Per-component `k` suffices: if a
-    /// component already admitted `k` items nearer than some live item
-    /// `x`, then `k` live items nearer than `x` exist globally and `x`
-    /// cannot be in the global top `k`.
+    /// copies and `c` tombstones, the first `c` copies offered are
+    /// rejected, so at most `m − c` are admitted, and aliased copies
+    /// are bit-identical so *which* ones survive is unobservable.
+    /// Per-component `k` and the seeded bound suffice: the list holds
+    /// only admitted items — never more copies of a key than are live —
+    /// and a component skips an item only when `k` of them already rank
+    /// ahead of it (it lies beyond `bound2`, or loses to the
+    /// component's own k best), so it cannot be in the global top `k`.
+    /// Copies of one key share a distance and a rank, so a skip treats
+    /// every copy alike.
     pub fn nearest_neighbors_into(
         &self,
         query: &Point<D>,
@@ -231,24 +238,16 @@ impl<const D: usize> LprTree<D> {
         if k == 0 {
             return Ok(stats);
         }
-        let mut merged: Vec<(Item<D>, f64)> = self
-            .buffer
-            .iter()
-            .map(|i| (*i, i.rect.min_dist2(query).sqrt()))
-            .collect();
+        out.extend(self.buffer.iter().map(|i| (*i, i.rect.min_dist2(query))));
+        let mut bound2 = retain_nearest(out, k);
         let mut filter = self.tombstones.filter();
-        let mut tmp = Vec::new();
         for c in self.components.iter().flatten() {
-            let s = c.nearest_neighbors_filtered_into(query, k, scratch, &mut tmp, |it| {
-                filter.admit(it)
-            })?;
+            let s =
+                c.nearest_neighbors_filtered_into(query, k, bound2, scratch, out, &mut filter)?;
             stats.absorb_traversal(&s);
-            merged.append(&mut tmp);
+            bound2 = retain_nearest(out, k);
         }
-        // Total order: distance, then id (distances are finite).
-        merged.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.id.cmp(&b.0.id)));
-        merged.truncate(k);
-        out.extend(merged);
+        finish_nearest(out);
         stats.results = out.len() as u64;
         Ok(stats)
     }

@@ -204,6 +204,11 @@ impl<'a, const D: usize> TombstoneFilter<'a, D> {
         out.truncate(keep);
     }
 
+    /// True when the filter admits every item (no tombstones exist).
+    pub fn admits_all(&self) -> bool {
+        self.tombstones.is_empty()
+    }
+
     /// Returns `true` if this stored copy of `item` is live (should be
     /// reported), consuming one tombstone otherwise.
     pub fn admit(&mut self, item: &Item<D>) -> bool {

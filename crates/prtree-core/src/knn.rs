@@ -1,14 +1,72 @@
-//! k-nearest-neighbor queries.
+//! k-nearest-neighbor queries: one bounded branch-and-bound search.
 //!
 //! Not part of the paper's evaluation (which is window queries only),
 //! but §1.1 notes that "many types of queries can be answered
 //! efficiently using an R-tree" — and any production spatial index needs
-//! k-NN. This is the classic best-first branch-and-bound search
-//! (Hjaltason–Samet): a priority queue over nodes and items keyed by
-//! minimum distance to the query point; items popped in distance order
-//! are exact nearest neighbors. It runs on *any* tree the bulk loaders
-//! produce, so PR-tree robustness extends to k-NN workloads for free.
+//! k-NN. It runs on *any* tree the bulk loaders produce, so PR-tree
+//! robustness extends to k-NN workloads for free.
+//!
+//! # The search
+//!
+//! The classic branch-and-bound k-NN (Roussopoulos, Kelley and Vincent,
+//! SIGMOD 1995) in best-first node order (Hjaltason–Samet). Two heaps
+//! live in [`QueryScratch`]: a min-heap of nodes keyed by their
+//! min-dist² to the query point, and a max-heap of the `k` best items
+//! admitted so far. A running **bound** on the squared k-th distance
+//! prunes everything beyond it: a node or item whose min-dist² exceeds
+//! the bound is never pushed, and the search stops when the nearest
+//! unvisited node lies beyond it. The bound is the least of:
+//!
+//! * the squared distance of the k-th best item once `k` are held;
+//! * when no tombstone can reject an item, the k-th smallest child
+//!   **max-dist²** of an expanded internal node
+//!   ([`pr_geom::batch::max_dist2_batch`]):
+//!   every non-root subtree holds at least one item, which lies within
+//!   its MBR's max-dist, so `k` children give `k` items within the k-th
+//!   smallest of them. This is what prunes before any leaf is read;
+//! * the caller's `bound2` ([`RTree::nearest_neighbors_filtered_into`]):
+//!   the exact squared k-th distance of what a multi-component index
+//!   already admitted from its other sources.
+//!
+//! # Exactness and the tie order
+//!
+//! Answers equal the unbounded best-first search of
+//! [`crate::reference::ReferenceEngine`] bit for bit — the same items,
+//! the same distance bits and the same [`QueryStats`] — because both
+//! follow one total order on candidates ([`Prioritized`]): squared
+//! distance, then nodes before items, then nodes by page and items by
+//! id and all `2·D` coordinate bit patterns. With nodes first at equal
+//! distance, the reference visits exactly the nodes whose min-dist² is
+//! at most the k-th item distance `d_k` before it emits its k-th item.
+//! The bounded search visits the same set: every bound is `≥ d_k`, so
+//! no such node is pruned, and once they are all visited the k-best
+//! heap holds the `k` items at or below `d_k`, so the bound is `d_k`
+//! and every farther node is pruned.
+//!
+//! Soundness of the max-dist bound rests on two facts:
+//!
+//! * **Rounding.** The max-dist² kernel sums its per-dimension squares
+//!   in the same order as `min_dist2`, and each term dominates the
+//!   contained rectangle's; rounding is monotone, so fl(min_dist2(item))
+//!   ≤ fl(max_dist2(enclosing MBR)). A non-finite value never tightens
+//!   the bound.
+//! * **Non-empty subtrees.** The bound assumes no non-root node is
+//!   empty; the search returns [`EmError::Corrupt`] when it visits one.
+//!   A bound that an empty child made unsound counted that child's
+//!   max-dist², and its min-dist² is no larger, so the child lies within
+//!   the bound: it is visited and the error raised, never a short or
+//!   wrong answer.
+//!
+//! # Filtered search
+//!
+//! With a tombstone filter that holds tombstones (the multi-component
+//! structures) the max-dist bound is off — a subtree's items may all be
+//! dead — and the filter is consulted only for an item that would enter
+//! the k-best set. The filter's multiset subtraction is unaffected: copies of one
+//! tombstoned key are bit-identical, so they share one distance and one
+//! place in the tie order, and a bound prunes all of them alike.
 
+use crate::dynamic::tombstone::TombstoneFilter;
 use crate::query::QueryStats;
 use crate::scratch::QueryScratch;
 use crate::tree::RTree;
@@ -16,24 +74,87 @@ use pr_em::{BlockId, EmError};
 use pr_geom::{Item, Point};
 use std::cmp::Ordering;
 
-/// Priority-queue element: a node or an item at its min distance.
+/// The k-NN total order on items at their squared distances: distance
+/// (`f64::total_cmp`), then id, then the bit patterns of the low and
+/// high corners. Bit-identical items compare equal, and they are
+/// interchangeable in any answer.
+fn item_order<const D: usize>(a2: f64, a: &Item<D>, b2: f64, b: &Item<D>) -> Ordering {
+    a2.total_cmp(&b2)
+        .then_with(|| a.id.cmp(&b.id))
+        .then_with(|| {
+            let lo =
+                |i: &Item<D>| -> [u64; D] { std::array::from_fn(|d| i.rect.lo_at(d).to_bits()) };
+            let hi =
+                |i: &Item<D>| -> [u64; D] { std::array::from_fn(|d| i.rect.hi_at(d).to_bits()) };
+            lo(a).cmp(&lo(b)).then_with(|| hi(a).cmp(&hi(b)))
+        })
+}
+
+/// [`item_order`] on `(item, squared distance)` answers.
+fn cmp_nearest<const D: usize>(a: &(Item<D>, f64), b: &(Item<D>, f64)) -> Ordering {
+    item_order(a.1, &a.0, b.1, &b.0)
+}
+
+/// Keeps the `k` nearest of `list` — `(item, squared distance)` pairs —
+/// in the k-NN total order, in no particular order, and returns the
+/// squared k-th distance: the `bound2` within which the next source
+/// must search. Returns `f64::INFINITY` while `list` holds fewer than
+/// `k` (which must be positive).
+pub fn retain_nearest<const D: usize>(list: &mut Vec<(Item<D>, f64)>, k: usize) -> f64 {
+    debug_assert!(k > 0);
+    if list.len() < k {
+        return f64::INFINITY;
+    }
+    list.select_nth_unstable_by(k - 1, cmp_nearest);
+    list.truncate(k);
+    list[k - 1].1
+}
+
+/// Sorts `(item, squared distance)` answers into the k-NN total order
+/// and takes the square roots in place — the last step of every k-NN,
+/// and the only square root it takes.
+pub fn finish_nearest<const D: usize>(list: &mut [(Item<D>, f64)]) {
+    list.sort_unstable_by(cmp_nearest);
+    for n in list {
+        n.1 = n.1.sqrt();
+    }
+}
+
+/// Candidate of the unbounded best-first search: a node or an item.
 pub(crate) enum Candidate<const D: usize> {
     Node(BlockId),
     Item(Item<D>),
 }
 
-/// Heap entry of the best-first search; lives in
-/// [`QueryScratch`] so the candidate heap is reusable. Distances are
-/// squared (the batched kernel's output); the square root is taken only
-/// when an item is reported.
+/// Heap entry of the unbounded best-first search that
+/// [`crate::reference::ReferenceEngine`] keeps as the oracle. Its `Ord`
+/// is reversed for `BinaryHeap` (nearest pops first) and **defines the
+/// k-NN tie order** the bounded search reproduces: squared distance,
+/// then nodes before items, then nodes by page and items by
+/// [`item_order`].
 pub(crate) struct Prioritized<const D: usize> {
     pub(crate) dist2: f64,
     pub(crate) candidate: Candidate<D>,
 }
 
+impl<const D: usize> Prioritized<D> {
+    fn order(&self, other: &Self) -> Ordering {
+        self.dist2
+            .total_cmp(&other.dist2)
+            .then_with(|| match (&self.candidate, &other.candidate) {
+                (Candidate::Node(a), Candidate::Node(b)) => a.cmp(b),
+                (Candidate::Item(a), Candidate::Item(b)) => {
+                    item_order(self.dist2, a, other.dist2, b)
+                }
+                (Candidate::Node(_), Candidate::Item(_)) => Ordering::Less,
+                (Candidate::Item(_), Candidate::Node(_)) => Ordering::Greater,
+            })
+    }
+}
+
 impl<const D: usize> PartialEq for Prioritized<D> {
     fn eq(&self, other: &Self) -> bool {
-        self.dist2 == other.dist2
+        self.order(other) == Ordering::Equal
     }
 }
 impl<const D: usize> Eq for Prioritized<D> {}
@@ -45,14 +166,69 @@ impl<const D: usize> PartialOrd for Prioritized<D> {
 impl<const D: usize> Ord for Prioritized<D> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want the closest first.
-        other.dist2.total_cmp(&self.dist2)
+        other.order(self)
+    }
+}
+
+/// A node awaiting its visit in the bounded search, at its min-dist².
+/// `Ord` is reversed for a min-heap: nearest first, then lowest page —
+/// the node half of the [`Prioritized`] order.
+#[derive(Clone, Copy)]
+pub(crate) struct NodeCandidate {
+    dist2: f64,
+    page: BlockId,
+}
+
+impl PartialEq for NodeCandidate {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for NodeCandidate {}
+impl PartialOrd for NodeCandidate {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for NodeCandidate {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .dist2
+            .total_cmp(&self.dist2)
+            .then(other.page.cmp(&self.page))
+    }
+}
+
+/// An admitted item at its squared distance, in the item half of the
+/// [`Prioritized`] order; a `BinaryHeap` of these keeps the worst of
+/// the k best on top.
+#[derive(Clone, Copy)]
+pub(crate) struct Neighbor<const D: usize> {
+    dist2: f64,
+    item: Item<D>,
+}
+
+impl<const D: usize> PartialEq for Neighbor<D> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl<const D: usize> Eq for Neighbor<D> {}
+impl<const D: usize> PartialOrd for Neighbor<D> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<const D: usize> Ord for Neighbor<D> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        item_order(self.dist2, &self.item, other.dist2, &other.item)
     }
 }
 
 impl<const D: usize> RTree<D> {
     /// The `k` items nearest to `query` (Euclidean distance to their
-    /// rectangles, 0 when the point is inside), closest first. Ties are
-    /// broken arbitrarily but deterministically. Returns fewer than `k`
+    /// rectangles, 0 when the point is inside), closest first, ties in
+    /// the k-NN total order (see the module docs). Returns fewer than `k`
     /// items only when the tree holds fewer.
     pub fn nearest_neighbors(
         &self,
@@ -74,12 +250,13 @@ impl<const D: usize> RTree<D> {
     }
 
     /// [`RTree::nearest_neighbors_with_stats`] with caller-owned
-    /// buffers: neighbors go into `out` (cleared first), the candidate
-    /// heap and batched-distance buffer live in `scratch`. Per-node
+    /// buffers: neighbors go into `out` (cleared first), both heaps and
+    /// the batched-distance buffers live in `scratch`. Per-node
     /// distances come from the vectorized
     /// [`pr_geom::batch::min_dist2_batch`] kernel, which is bit-identical
-    /// to the scalar `Rect::min_dist2` — so heap order, tie-breaks, and
-    /// reported distances match the scalar engine exactly.
+    /// to the scalar `Rect::min_dist2` — so the answer, its distance bits
+    /// and the traversal statistics match the scalar reference engine
+    /// exactly (see the module docs).
     pub fn nearest_neighbors_into(
         &self,
         query: &Point<D>,
@@ -87,35 +264,63 @@ impl<const D: usize> RTree<D> {
         scratch: &mut QueryScratch<D>,
         out: &mut Vec<(Item<D>, f64)>,
     ) -> Result<QueryStats, EmError> {
-        self.nearest_neighbors_filtered_into(query, k, scratch, out, |_| true)
+        out.clear();
+        let stats = self.knn_search(query, k, f64::INFINITY, true, scratch, out, |_| true)?;
+        finish_nearest(out);
+        Ok(stats)
     }
 
-    /// [`RTree::nearest_neighbors_into`] with an admission predicate
-    /// applied **inside the best-first loop**: an item popped from the
-    /// candidate heap that `admit` rejects is skipped — it consumes
-    /// neither a result slot nor any extra leaf visits beyond the one
-    /// that surfaced it. This is the tombstone-aware k-NN primitive of
-    /// the multi-component structures (LPR-tree, pr-live snapshots):
-    /// they pass their shared multiset [`TombstoneFilter`] as `admit`,
-    /// so each component yields its `k` nearest *live* items directly
-    /// instead of over-fetching `k + total_tombstones` and filtering
-    /// afterwards — with heavy tombstones, the difference between
-    /// reading a handful of leaves and scanning most of the component.
+    /// The k-NN primitive of the multi-component structures (LPR-tree,
+    /// pr-live snapshots): **appends** to `out` this tree's `k` nearest
+    /// items that `filter` admits and that lie within squared distance
+    /// `bound2`, as `(item, squared distance)` pairs in no particular
+    /// order. Pass `f64::INFINITY` for no bound.
     ///
-    /// Items are popped in exact min-distance order, so rejecting a dead
-    /// head admits the next-nearest live item with no extra traversal;
-    /// results and distances equal the over-fetch-then-filter answer.
+    /// `bound2` is the exact squared k-th distance of what the caller
+    /// already admitted from its other sources ([`retain_nearest`]
+    /// computes it): an item beyond it cannot enter the global top `k`,
+    /// so neither it nor a node beyond it is visited. An item exactly at
+    /// `bound2` is still reported, since the tie order may rank it
+    /// ahead of the caller's k-th.
     ///
-    /// [`TombstoneFilter`]: crate::dynamic::tombstone::TombstoneFilter
+    /// The callers pass the query's shared multiset [`TombstoneFilter`].
+    /// It runs **inside the search**, and only for an item that would
+    /// enter the k-best set: a dead copy consumes no result slot, so
+    /// each component yields its nearest *live* items directly instead
+    /// of over-fetching `k + total_tombstones` and filtering afterwards
+    /// — with heavy tombstones, the difference between reading a
+    /// handful of leaves and scanning most of the component. A filter
+    /// without tombstones admits everything, so the search then also
+    /// uses the max-dist bound.
     pub fn nearest_neighbors_filtered_into(
         &self,
         query: &Point<D>,
         k: usize,
+        bound2: f64,
+        scratch: &mut QueryScratch<D>,
+        out: &mut Vec<(Item<D>, f64)>,
+        filter: &mut TombstoneFilter<'_, D>,
+    ) -> Result<QueryStats, EmError> {
+        let max_dist = filter.admits_all();
+        self.knn_search(query, k, bound2, max_dist, scratch, out, |it| {
+            filter.admit(it)
+        })
+    }
+
+    /// The bounded search (see the module docs); appends the k best to
+    /// `out` with squared distances. `max_dist` enables the max-dist
+    /// bound, which is sound only when `admit` accepts every item.
+    #[allow(clippy::too_many_arguments)]
+    fn knn_search(
+        &self,
+        query: &Point<D>,
+        k: usize,
+        bound2: f64,
+        max_dist: bool,
         scratch: &mut QueryScratch<D>,
         out: &mut Vec<(Item<D>, f64)>,
         mut admit: impl FnMut(&Item<D>) -> bool,
     ) -> Result<QueryStats, EmError> {
-        out.clear();
         let mut stats = QueryStats::default();
         if k == 0 || self.is_empty() {
             return Ok(stats);
@@ -124,7 +329,9 @@ impl<const D: usize> RTree<D> {
             page_buf,
             soa,
             dist,
-            heap,
+            far,
+            nodes,
+            best,
             trace,
             ..
         } = scratch;
@@ -133,80 +340,112 @@ impl<const D: usize> RTree<D> {
         trace.arm_sampled("knn");
         let tracing = trace.is_active();
         let traverse = trace.begin("tree", "best_first");
-        heap.clear();
-        heap.push(Prioritized {
+        nodes.clear();
+        best.clear();
+        let root = self.root();
+        nodes.push(NodeCandidate {
             dist2: 0.0,
-            candidate: Candidate::Node(self.root()),
+            page: root,
         });
+        let mut bound = bound2;
         // One pinned-node snapshot and local cache accounting per query,
         // finished once (see query.rs).
         let mut view = self.pinned_view();
         let walk = (|| {
-            while let Some(Prioritized { dist2, candidate }) = heap.pop() {
-                match candidate {
-                    Candidate::Item(item) => {
-                        if !admit(&item) {
-                            continue; // tombstoned copy: skip in place
+            while let Some(NodeCandidate { dist2, page }) = nodes.pop() {
+                if dist2 > bound {
+                    break; // every node left is farther still
+                }
+                let (hits0, misses0) = (view.tally.leaf_hits, view.tally.leaf_misses);
+                let t_node = tracing.then(std::time::Instant::now);
+                let mut level = 0u8;
+                let (non_empty, did_io) =
+                    self.with_soa_node(page, &mut view, page_buf, soa, |n| {
+                        if n.is_empty() && page != root {
+                            return false;
                         }
-                        out.push((item, dist2.sqrt()));
-                        stats.results += 1;
-                        if out.len() == k {
-                            break;
-                        }
-                    }
-                    Candidate::Node(page) => {
-                        let (hits0, misses0) = (view.tally.leaf_hits, view.tally.leaf_misses);
-                        let t_node = tracing.then(std::time::Instant::now);
-                        let mut level = 0u8;
-                        let ((), did_io) =
-                            self.with_soa_node(page, &mut view, page_buf, soa, |n| {
-                                if tracing {
-                                    level = n.level();
-                                }
-                                stats.nodes_visited += 1;
-                                n.min_dist2_into(query, dist);
-                                if n.is_leaf() {
-                                    stats.leaves_visited += 1;
-                                    // Defer the items through the heap so
-                                    // they are emitted in global distance
-                                    // order.
-                                    for (i, &d2) in dist.iter().enumerate() {
-                                        heap.push(Prioritized {
-                                            dist2: d2,
-                                            candidate: Candidate::Item(n.item(i)),
-                                        });
-                                    }
-                                } else {
-                                    stats.internal_visited += 1;
-                                    for (&d2, &ptr) in dist.iter().zip(n.ptrs()) {
-                                        heap.push(Prioritized {
-                                            dist2: d2,
-                                            candidate: Candidate::Node(ptr as BlockId),
-                                        });
-                                    }
-                                }
-                            })?;
-                        stats.device_reads += did_io as u64;
                         if tracing {
-                            if did_io {
-                                let t0 = t_node.expect("set while tracing");
-                                trace.span_since("em", "page_read", t0, &format!("page={page}"));
-                            }
-                            let is_leaf = level == 0;
-                            trace.tally_level(
-                                level as usize,
-                                is_leaf as u64,
-                                !is_leaf as u64,
-                                view.tally.leaf_hits - hits0,
-                                view.tally.leaf_misses - misses0,
-                                did_io as u64,
-                            );
+                            level = n.level();
                         }
+                        stats.nodes_visited += 1;
+                        n.min_dist2_into(query, dist);
+                        if n.is_leaf() {
+                            stats.leaves_visited += 1;
+                            for (i, &d2) in dist.iter().enumerate() {
+                                if d2 > bound {
+                                    continue;
+                                }
+                                let cand = Neighbor {
+                                    dist2: d2,
+                                    item: n.item(i),
+                                };
+                                let full = best.len() == k;
+                                if full && cand >= *best.peek().expect("k > 0") {
+                                    continue; // ties the k-th, loses the tie
+                                }
+                                if !admit(&cand.item) {
+                                    continue;
+                                }
+                                if full {
+                                    *best.peek_mut().expect("k > 0") = cand;
+                                } else {
+                                    best.push(cand);
+                                }
+                                if best.len() == k {
+                                    bound = bound.min(best.peek().expect("k > 0").dist2);
+                                }
+                            }
+                        } else {
+                            stats.internal_visited += 1;
+                            // Before k items are held, the children's
+                            // max-dists are the only bound there is.
+                            if max_dist && best.len() < k && n.len() >= k {
+                                n.max_dist2_into(query, far);
+                                let (_, kth, _) = far.select_nth_unstable_by(k - 1, f64::total_cmp);
+                                if kth.is_finite() {
+                                    bound = bound.min(*kth);
+                                }
+                            }
+                            for (&d2, &ptr) in dist.iter().zip(n.ptrs()) {
+                                if d2 > bound {
+                                    continue;
+                                }
+                                nodes.push(NodeCandidate {
+                                    dist2: d2,
+                                    page: ptr as BlockId,
+                                });
+                            }
+                        }
+                        true
+                    })?;
+                if !non_empty {
+                    return Err(EmError::Corrupt(format!(
+                        "k-NN reached empty non-root node {page}"
+                    )));
+                }
+                stats.device_reads += did_io as u64;
+                if tracing {
+                    if did_io {
+                        let t0 = t_node.expect("set while tracing");
+                        trace.span_since("em", "page_read", t0, &format!("page={page}"));
                     }
+                    let is_leaf = level == 0;
+                    trace.tally_level(
+                        level as usize,
+                        is_leaf as u64,
+                        !is_leaf as u64,
+                        view.tally.leaf_hits - hits0,
+                        view.tally.leaf_misses - misses0,
+                        did_io as u64,
+                    );
                 }
             }
             Ok(())
         })();
+        if walk.is_ok() {
+            stats.results = best.len() as u64;
+            out.extend(best.drain().map(|n| (n.item, n.dist2)));
+        }
         let tally = self.finish_view(view);
         stats.leaf_cache_hits = tally.leaf_hits;
         stats.leaf_cache_misses = tally.leaf_misses;
@@ -346,6 +585,54 @@ mod tests {
                 assert!((g.1 - w.1).abs() < 1e-9, "{}", kind.name());
             }
         }
+    }
+
+    /// The max-dist bound assumes every non-root subtree holds an item.
+    /// A tree that breaks this — a leaf emptied on the device — must
+    /// fail loudly with `Corrupt` whenever the search reaches it, never
+    /// return a short answer.
+    #[test]
+    fn empty_non_root_leaf_is_corrupt_not_a_short_answer() {
+        use crate::page::NodePage;
+        let items = random_items(300, 13);
+        let tree = build(&items);
+        assert!(tree.height() >= 3);
+        // Descend along first children to a leaf; remember its MBR.
+        let dev = tree.device().as_ref();
+        let mut page = tree.root();
+        let mut mbr = None;
+        loop {
+            let node = NodePage::<2>::read(dev, page).unwrap();
+            if node.is_leaf() {
+                break;
+            }
+            mbr = Some(node.entries[0].rect);
+            page = node.entries[0].ptr as BlockId;
+        }
+        NodePage::<2>::new(0, Vec::new()).write(dev, page).unwrap();
+        let inside = mbr.unwrap().center();
+        let corrupt = |r: Result<QueryStats, EmError>| matches!(r, Err(EmError::Corrupt(_)));
+        let mut scratch = QueryScratch::new();
+        let mut out = Vec::new();
+        for k in [1, 10, items.len()] {
+            let r = tree.nearest_neighbors_into(&inside, k, &mut scratch, &mut out);
+            assert!(corrupt(r), "k={k}: empty leaf under the query point");
+            let mut dead = crate::dynamic::Tombstones::new();
+            dead.add(&items[0]);
+            let r = tree.nearest_neighbors_filtered_into(
+                &inside,
+                k,
+                f64::INFINITY,
+                &mut scratch,
+                &mut out,
+                &mut dead.filter(),
+            );
+            assert!(corrupt(r), "k={k}: filtered search");
+        }
+        // Asking for every item reaches every leaf, wherever the query.
+        let far = Point::new([-500.0, 900.0]);
+        let r = tree.nearest_neighbors_into(&far, items.len(), &mut scratch, &mut out);
+        assert!(corrupt(r), "a full answer needs the emptied leaf");
     }
 
     #[test]

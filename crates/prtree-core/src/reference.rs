@@ -11,7 +11,14 @@
 //!    both engines and assert *identical* results (same items, same
 //!    order, same `f64` bits) and *identical* [`QueryStats`] — leaves,
 //!    internal nodes, device reads. That is the proof that the SoA
-//!    engine changed cost, not answers.
+//!    engine changed cost, not answers. For k-NN this engine keeps the
+//!    plain unbounded best-first search — one heap of nodes and items,
+//!    no pruning — which the bounded search of [`crate::knn`] must
+//!    match. Both follow one total tie order, defined on the shared
+//!    `knn::Prioritized` heap entry: squared distance, then nodes
+//!    before items, then nodes by page and items by id and coordinate
+//!    bits. Nodes first makes this search read exactly the nodes within
+//!    the k-th distance, which is the set the bounded search reads.
 //! 2. **Baseline.** The `hot_query` benchmark measures the new engine
 //!    against this one on the same tree, so speedups are attributable to
 //!    the read-path representation rather than tree shape or dataset.
@@ -121,9 +128,10 @@ impl<'t, const D: usize> ReferenceEngine<'t, D> {
         Ok(stats)
     }
 
-    /// Scalar best-first k-NN; the loop body is the pre-SoA
-    /// `nearest_neighbors_with_stats`, sharing the same heap element
-    /// type so tie-breaking is identical.
+    /// Scalar unbounded best-first k-NN: every child of a visited node
+    /// enters one heap of nodes and items, ordered by the shared
+    /// `knn::Prioritized` tie order, and the first `k` items popped are
+    /// the answer (see the module docs).
     pub fn nearest_neighbors_with_stats(
         &self,
         query: &Point<D>,

@@ -2,9 +2,9 @@
 //!
 //! Every buffer a query needs lives here: the DFS stack, the raw-page
 //! read buffer and the SoA transcode target for uncached (leaf) visits,
-//! the match mask the batch kernels write, and the k-NN candidate heap
-//! plus its batched-distance buffer. A [`QueryScratch`] is created once
-//! and threaded through the `_into` variants
+//! the match mask the batch kernels write, and the k-NN search's node
+//! heap, k-best heap and batched-distance buffers. A [`QueryScratch`]
+//! is created once and threaded through the `_into` variants
 //! ([`crate::tree::RTree::window_into`],
 //! [`crate::tree::RTree::window_count_into`],
 //! [`crate::tree::RTree::nearest_neighbors_into`],
@@ -17,7 +17,7 @@
 //! fresh scratch per call, so one-shot callers pay only what the old
 //! engine already paid.
 
-use crate::knn::Prioritized;
+use crate::knn::{Neighbor, NodeCandidate};
 use crate::soa::SoaNode;
 use pr_em::BlockId;
 use std::collections::BinaryHeap;
@@ -38,10 +38,18 @@ pub struct QueryScratch<const D: usize> {
     /// SoA transcode target for uncached nodes (leaves, in the paper's
     /// cache-all-internal-nodes steady state).
     pub(crate) soa: SoaNode<D>,
-    /// Batched `min_dist2` output (k-NN).
+    /// Batched `min_dist2` output (k-NN): a node's entries' min-dist²,
+    /// the keys of its children or the distances of its items.
     pub(crate) dist: Vec<f64>,
-    /// Best-first candidate heap (k-NN).
-    pub(crate) heap: BinaryHeap<Prioritized<D>>,
+    /// Batched max-dist² output (k-NN): an internal node's children's
+    /// max-dist², from which the search's max-dist bound is selected.
+    pub(crate) far: Vec<f64>,
+    /// k-NN min-heap of nodes still to visit, keyed by min-dist²; only
+    /// nodes within the search's bound enter it.
+    pub(crate) nodes: BinaryHeap<NodeCandidate>,
+    /// k-NN max-heap of the (at most `k`) best admitted items, the
+    /// worst on top: its top is the k-th distance bound once full.
+    pub(crate) best: BinaryHeap<Neighbor<D>>,
     /// Span-trace context riding the query (see `pr_obs::trace`). The
     /// engine arms it via sampling at the top of each traversal and
     /// publishes the finished trace; callers wanting a guaranteed trace
@@ -59,7 +67,9 @@ impl<const D: usize> QueryScratch<D> {
             mask: Vec::new(),
             soa: SoaNode::new_empty(),
             dist: Vec::new(),
-            heap: BinaryHeap::new(),
+            far: Vec::new(),
+            nodes: BinaryHeap::new(),
+            best: BinaryHeap::new(),
             trace: pr_obs::SpanCtx::off(),
         }
     }

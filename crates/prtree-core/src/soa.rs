@@ -311,6 +311,15 @@ impl<const D: usize> SoaNode<D> {
         out.resize(self.len, 0.0);
         batch::min_dist2_batch(&self.lo_dims(), &self.hi_dims(), p, out);
     }
+
+    /// Batched max-dist² from `p` to every entry into `out`: an upper
+    /// bound on the `min_dist2` of anything an entry's MBR contains
+    /// ([`batch::max_dist2_batch`]; the k-NN search's max-dist bound).
+    #[inline]
+    pub fn max_dist2_into(&self, p: &Point<D>, out: &mut Vec<f64>) {
+        out.resize(self.len, 0.0);
+        batch::max_dist2_batch(&self.lo_dims(), &self.hi_dims(), p, out);
+    }
 }
 
 #[cfg(test)]

@@ -275,3 +275,110 @@ fn drain_buffer_helper_flushes() {
     drain_buffer(&mut t, 9000);
     assert!(t.num_components() >= 1);
 }
+
+/// Brute-force k-NN over a multiset of live items, in the k-NN total
+/// order (squared distance, id, coordinate bits) — written out here
+/// rather than borrowed from the engine, so the test pins the order.
+fn brute_knn(live: &[Item<2>], q: &Point<2>, k: usize) -> Vec<(Item<2>, f64)> {
+    let bits = |i: &Item<2>| {
+        [
+            i.rect.lo_at(0).to_bits(),
+            i.rect.lo_at(1).to_bits(),
+            i.rect.hi_at(0).to_bits(),
+            i.rect.hi_at(1).to_bits(),
+        ]
+    };
+    let mut all: Vec<(Item<2>, f64)> = live.iter().map(|i| (*i, i.rect.min_dist2(q))).collect();
+    all.sort_by(|a, b| {
+        a.1.total_cmp(&b.1)
+            .then(a.0.id.cmp(&b.0.id))
+            .then(bits(&a.0).cmp(&bits(&b.0)))
+    });
+    all.truncate(k);
+    all.into_iter().map(|(i, d2)| (i, d2.sqrt())).collect()
+}
+
+/// Coincident sites: ids `i` and `i + 100` share a point, so queries
+/// see tie groups at every distance.
+fn site(id: u32) -> Item<2> {
+    let s = id % 100;
+    let (x, y) = ((s % 10) as f64 * 3.0, (s / 10) as f64 * 3.0);
+    Item::new(Rect::xyxy(x, y, x, y), id)
+}
+
+/// Every query point × k of the multiset tests, against the oracle.
+fn assert_knn_matches_oracle(t: &LprTree<2>, live: &[Item<2>]) {
+    let mut scratch = QueryScratch::new();
+    let mut nn = Vec::new();
+    for q in [
+        Point::new([0.0, 0.0]),
+        Point::new([12.0, 12.0]),
+        Point::new([13.5, 7.5]),
+        Point::new([27.0, 0.0]),
+        Point::new([40.0, 40.0]),
+    ] {
+        for k in [1usize, 2, 3, 7, 16, 33, 400] {
+            t.nearest_neighbors_into(&q, k, &mut scratch, &mut nn)
+                .unwrap();
+            let want = brute_knn(live, &q, k);
+            assert_eq!(nn.len(), want.len(), "q={q:?} k={k}");
+            for (g, w) in nn.iter().zip(&want) {
+                assert_eq!(g.0, w.0, "q={q:?} k={k}: item");
+                assert_eq!(g.1.to_bits(), w.1.to_bits(), "q={q:?} k={k}: distance");
+            }
+        }
+    }
+}
+
+/// k-NN over ≥ 3 components with tombstones in several of them and
+/// re-inserted duplicates — a dead and a live copy of one `(id, rect)`
+/// key in different components, and keys deleted twice — must equal a
+/// brute-force multiset oracle exactly: items, order and distance bits.
+/// The bounded search carries each component's k-th distance into the
+/// next one, so this pins that pruning never drops a live neighbor nor
+/// lets a dead copy through.
+#[test]
+fn knn_matches_multiset_oracle_across_components() {
+    let mut t = make(8);
+    let mut live: Vec<Item<2>> = Vec::new();
+    let insert = |t: &mut LprTree<2>, live: &mut Vec<Item<2>>, it: Item<2>| {
+        t.insert(it).unwrap();
+        live.push(it);
+    };
+    let delete = |t: &mut LprTree<2>, live: &mut Vec<Item<2>>, it: Item<2>| {
+        assert!(t.delete(&it).unwrap(), "missing {it:?}");
+        let pos = live.iter().position(|l| *l == it).unwrap();
+        live.swap_remove(pos);
+    };
+    for id in 0..300 {
+        insert(&mut t, &mut live, site(id));
+    }
+    // No tombstones yet: the components run with the max-dist bound.
+    assert!(t.num_components() >= 3, "{} components", t.num_components());
+    assert_knn_matches_oracle(&t, &live);
+    // Deletes spread over the old (large) and recent components.
+    for id in (0..300).step_by(9) {
+        delete(&mut t, &mut live, site(id));
+    }
+    // Identical re-inserts: a live copy beside a tombstoned one.
+    for id in (0..300).step_by(18) {
+        insert(&mut t, &mut live, site(id));
+    }
+    // Delete a re-inserted key again (two tombstones, two stored
+    // copies), then bring it back once more.
+    for id in (0..300).step_by(36) {
+        delete(&mut t, &mut live, site(id));
+    }
+    for id in (0..300).step_by(72) {
+        insert(&mut t, &mut live, site(id));
+    }
+    assert!(t.num_components() >= 3, "{} components", t.num_components());
+    assert!(
+        t.num_tombstones() >= 10,
+        "{} tombstones",
+        t.num_tombstones()
+    );
+    assert_eq!(t.len(), live.len() as u64);
+
+    assert_knn_matches_oracle(&t, &live);
+}

@@ -19,11 +19,11 @@ use std::sync::Arc;
 
 const CAP: usize = 8; // small fanout → several levels at test sizes
 
-fn build(kind: LoaderKind, items: &[Item<2>]) -> RTree<2> {
-    let params = TreeParams::with_cap::<2>(CAP);
+fn build<const D: usize>(kind: LoaderKind, items: &[Item<D>]) -> RTree<D> {
+    let params = TreeParams::with_cap::<D>(CAP);
     let dev: Arc<dyn BlockDevice> = Arc::new(MemDevice::new(params.page_size));
     let tree = kind
-        .loader::<2>()
+        .loader::<D>()
         .load(dev, params, items.to_vec())
         .expect("bulk load");
     tree.warm_cache().expect("warm");
@@ -116,6 +116,102 @@ fn every_loader_and_dataset_matches_the_scalar_reference() {
             }
         }
     }
+}
+
+/// One k-NN query through both engines: identical items (order
+/// included), identical distance bits, identical `QueryStats`.
+fn assert_knn_matches<const D: usize>(
+    tree: &RTree<D>,
+    oracle: &ReferenceEngine<'_, D>,
+    p: &Point<D>,
+    k: usize,
+    label: &str,
+) {
+    let (want, want_stats) = oracle.nearest_neighbors_with_stats(p, k).expect("oracle");
+    let (got, got_stats) = tree.nearest_neighbors_with_stats(p, k).expect("knn");
+    assert_eq!(got.len(), want.len(), "{label} k{k}: length");
+    for ((gi, gd), (wi, wd)) in got.iter().zip(&want) {
+        assert_eq!(gi, wi, "{label} k{k}: item");
+        assert_eq!(gd.to_bits(), wd.to_bits(), "{label} k{k}: dist bits");
+    }
+    assert_eq!(got_stats, want_stats, "{label} k{k}: stats");
+}
+
+/// A lattice of `side^D` sites, each holding `copies` coincident
+/// points with distinct ids. Every query at a site or a cell center
+/// sees whole groups of equal distances, so the k values below land
+/// inside tie groups and the tie order decides which items make the
+/// cut — and which nodes at exactly the k-th distance are visited.
+/// With `twins`, every third site also holds a bit-identical second
+/// copy of one of its items (same id, same point), as a re-inserted
+/// duplicate would.
+fn tie_heavy<const D: usize>(side: u32, copies: u32, twins: bool) -> Vec<Item<D>> {
+    let mut items = Vec::new();
+    let mut id = 0u32;
+    for site in 0..side.pow(D as u32) {
+        let mut c = [0.0; D];
+        let mut rest = site;
+        for x in c.iter_mut() {
+            *x = (rest % side) as f64;
+            rest /= side;
+        }
+        for _ in 0..copies {
+            items.push(Item::new(Rect::new(c, c), id));
+            id += 1;
+        }
+        if twins && site % 3 == 0 {
+            items.push(Item::new(Rect::new(c, c), id - 1));
+        }
+    }
+    items
+}
+
+fn tie_heavy_queries<const D: usize>(side: u32) -> Vec<Point<D>> {
+    let mid = (side / 2) as f64;
+    vec![
+        Point::new([0.0; D]),
+        Point::new([mid; D]),
+        Point::new([mid + 0.5; D]),
+        Point::new(std::array::from_fn(
+            |d| if d == 0 { mid + 0.5 } else { mid },
+        )),
+        Point::new([side as f64 + 3.0; D]),
+    ]
+}
+
+/// Every loader on coincident points with distinct ids; the PR loader
+/// (the one the dynamic structures use) also with bit-identical twins.
+/// TGS is left out of the twin run: its split step routes items by id,
+/// so two items sharing an id always land on the same side and a cut
+/// can fail to shrink the set (the 3-D run overflows the stack).
+fn check_tie_heavy<const D: usize>(side: u32, copies: u32, ks: &[usize]) {
+    let runs = LoaderKind::all()
+        .map(|kind| (kind, false))
+        .into_iter()
+        .chain([(LoaderKind::Pr, true)]);
+    for (kind, twins) in runs {
+        let items = tie_heavy::<D>(side, copies, twins);
+        let tree = build(kind, &items);
+        let oracle = ReferenceEngine::new(&tree).expect("oracle");
+        for (pi, p) in tie_heavy_queries::<D>(side).iter().enumerate() {
+            for &k in ks {
+                let label = format!("{}/{D}-D ties twins={twins} p{pi}", kind.name());
+                assert_knn_matches(&tree, &oracle, p, k, &label);
+            }
+        }
+    }
+}
+
+#[test]
+fn tie_heavy_knn_matches_the_scalar_reference_2d() {
+    // Groups of 4 or 5 coincident points; k from inside the first group
+    // to past several rings of equidistant sites, and past the size.
+    check_tie_heavy::<2>(12, 4, &[1, 3, 4, 5, 6, 9, 17, 20, 41, 100, 700]);
+}
+
+#[test]
+fn tie_heavy_knn_matches_the_scalar_reference_3d() {
+    check_tie_heavy::<3>(5, 3, &[1, 2, 3, 4, 7, 19, 25, 60, 500]);
 }
 
 proptest! {
