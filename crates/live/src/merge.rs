@@ -187,9 +187,12 @@ pub(crate) fn run_merge<const D: usize>(
     let t_snap = Arc::clone(&inner.core.read().tombstones);
 
     // Phase 3: build the merged component off-lock. Items dead in the
-    // tombstone snapshot are dropped and recorded as consumed.
+    // tombstone snapshot are dropped and recorded as consumed; the input
+    // lengths bound the merged size, so `items` is allocated once.
     let mut consumed = Tombstones::<D>::new();
-    let mut items: Vec<Item<D>> = Vec::new();
+    let input_len = sealed.as_ref().map_or(0, |s| s.len())
+        + inputs.iter().map(|c| c.len() as usize).sum::<usize>();
+    let mut items: Vec<Item<D>> = Vec::with_capacity(input_len);
     {
         let mut filter = t_snap.filter();
         if let Some(sealed) = &sealed {

@@ -8,11 +8,22 @@
 //! kd nodes are discarded. Stages repeat until one node holds everything:
 //! that node is the root.
 //!
+//! A stage works in place on one `&mut [Entry<D>]`: priority extraction
+//! and the median split are selections on sub-slices
+//! ([`crate::bulk::kd_split::split_node`]), so the grouping is a
+//! permutation of the stage's entry array plus a list of group ranges
+//! over it, and [`write_level`] writes each page straight from its range.
+//! The kd recursion runs on an explicit stack, right half first, so
+//! groups come out in a fixed order and page ids are reproducible. The
+//! parallel loader ([`crate::bulk::pr_parallel`]) and the external
+//! loader's in-memory base case ([`crate::bulk::pr_external`]) run the
+//! same kernel, [`PrTreeLoader::group_stage`].
+//!
 //! The resulting tree is a perfectly ordinary R-tree (degree Θ(B), all
 //! leaves on one level) that answers window queries in
 //! `O((N/B)^{1−1/d} + T/B)` I/Os (Theorem 1/2).
 
-use crate::bulk::kd_split::{extract_all_priority_leaves, median_split};
+use crate::bulk::kd_split::split_node;
 use crate::bulk::BulkLoader;
 use crate::entry::Entry;
 use crate::page::NodePage;
@@ -21,6 +32,7 @@ use crate::tree::RTree;
 use crate::writer::write_level;
 use pr_em::{BlockDevice, EmError};
 use pr_geom::{Axis, Item};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Configuration of the PR-tree loader.
@@ -52,82 +64,66 @@ impl PrTreeLoader {
         self.priority_size.unwrap_or(cap).min(cap).max(1)
     }
 
-    /// Grouping for one stage: the multiset of pseudo-PR-tree leaf
-    /// contents over `entries` with node capacity `cap`.
-    pub(crate) fn stage_groups<const D: usize>(
-        &self,
-        entries: Vec<Entry<D>>,
-        cap: usize,
-    ) -> Vec<Vec<Entry<D>>> {
-        self.stage_groups_from(entries, cap, Axis(0))
-    }
-
-    /// Like [`PrTreeLoader::stage_groups`] but starting the kd round-robin
-    /// at `start_axis` — the external construction resumes in-memory at an
+    /// One stage's grouping, in place: permutes `entries` into the
+    /// pseudo-PR-tree leaves of node capacity `cap` and appends each
+    /// leaf's range over `entries` to `groups`. The kd round-robin starts
+    /// at `start_axis` — the external construction resumes in memory at an
     /// arbitrary recursion depth and must keep the axis cycle aligned.
-    pub(crate) fn stage_groups_from<const D: usize>(
+    pub(crate) fn group_stage<const D: usize>(
         &self,
-        entries: Vec<Entry<D>>,
+        entries: &mut [Entry<D>],
         cap: usize,
         start_axis: Axis,
-    ) -> Vec<Vec<Entry<D>>> {
-        let mut out = Vec::with_capacity(entries.len() / cap.max(1) + 1);
-        let mut stack: Vec<(Vec<Entry<D>>, Axis)> = vec![(entries, start_axis)];
-        while let Some((set, axis)) = stack.pop() {
-            if let Some(children) = self.node_step(set, axis, cap, &mut out) {
-                stack.extend(children);
+        groups: &mut Vec<Range<usize>>,
+    ) {
+        let mut stack = vec![(0..entries.len(), start_axis)];
+        while let Some((range, axis)) = stack.pop() {
+            if let Some(halves) = self.split_range(entries, range, axis, cap, groups) {
+                stack.extend(halves);
             }
         }
-        out
     }
 
-    /// One pseudo-PR-tree node's worth of work (§2.1): small sets become
-    /// leaves (pushed to `out`); larger sets shed their `2D` priority
-    /// leaves into `out` and return the two median-split halves with the
-    /// advanced round-robin axis. Shared by the sequential and parallel
-    /// drivers so they produce identical groupings.
-    pub(crate) fn node_step<const D: usize>(
+    /// One pseudo-PR-tree node over `entries[range]` (see
+    /// [`split_node`]): appends its leaves' ranges to `groups` and returns
+    /// the two kd halves with the next round-robin axis. Shared by the
+    /// sequential and parallel drivers so they produce identical
+    /// groupings.
+    pub(crate) fn split_range<const D: usize>(
         &self,
-        mut set: Vec<Entry<D>>,
+        entries: &mut [Entry<D>],
+        range: Range<usize>,
         axis: Axis,
         cap: usize,
-        out: &mut Vec<Vec<Entry<D>>>,
-    ) -> Option<[(Vec<Entry<D>>, Axis); 2]> {
+        groups: &mut Vec<Range<usize>>,
+    ) -> Option<[(Range<usize>, Axis); 2]> {
+        let base = range.start;
+        let shift = |r: Range<usize>| base + r.start..base + r.end;
         let prio = self.prio_for(cap);
         let snap = self.snap_splits.then_some(cap);
-        if set.len() <= cap {
-            if !set.is_empty() {
-                out.push(set);
-            }
-            return None;
-        }
-        // §2.1: extract the 2D priority leaves first…
-        out.extend(extract_all_priority_leaves(&mut set, prio));
-        // …then split the remainder at the median of the round-robin
-        // axis and recurse on both halves.
-        if set.is_empty() {
-            return None;
-        }
-        if set.len() <= cap {
-            out.push(set);
-            return None;
-        }
-        let (left, right) = median_split(set, axis, snap);
+        let halves = split_node(&mut entries[range], axis, prio, cap, snap, |leaf| {
+            groups.push(shift(leaf))
+        })?;
         let next = axis.next::<D>();
-        Some([(left, next), (right, next)])
+        Some(halves.map(|h| (shift(h), next)))
     }
 
     /// Runs all stages over `entries`, returning the finished tree.
+    /// `group` computes one stage's grouping (see
+    /// [`PrTreeLoader::group_stage`]); the sequential and parallel
+    /// loaders differ only in that schedule.
     pub(crate) fn build_stages<const D: usize>(
         &self,
         dev: Arc<dyn BlockDevice>,
         params: TreeParams,
         mut entries: Vec<Entry<D>>,
         len: u64,
+        group: impl Fn(&mut [Entry<D>], usize, &mut Vec<Range<usize>>),
     ) -> Result<RTree<D>, EmError> {
         if entries.is_empty() {
             return RTree::new_empty(dev, params);
         }
+        let mut groups = Vec::new();
         let mut level: u8 = 0;
         loop {
             let cap = params.cap_at_level(level);
@@ -140,8 +136,10 @@ impl PrTreeLoader {
                 let root = NodePage::new(level, entries).append(dev.as_ref())?;
                 return Ok(RTree::attach(dev, params, root, level, len));
             }
-            let groups = self.stage_groups(entries, cap);
-            entries = write_level(dev.as_ref(), level, groups)?;
+            groups.clear();
+            group(&mut entries, cap, &mut groups);
+            let slices = groups.iter().map(|r| &entries[r.clone()]);
+            entries = write_level(dev.as_ref(), level, slices)?;
             level = level.checked_add(1).expect("tree height exceeds 255");
         }
     }
@@ -160,7 +158,9 @@ impl<const D: usize> BulkLoader<D> for PrTreeLoader {
     ) -> Result<RTree<D>, EmError> {
         let len = items.len() as u64;
         let entries: Vec<Entry<D>> = items.into_iter().map(Entry::from_item).collect();
-        self.build_stages(dev, params, entries, len)
+        self.build_stages(dev, params, entries, len, |entries, cap, groups| {
+            self.group_stage(entries, cap, Axis(0), groups)
+        })
     }
 }
 

@@ -22,12 +22,12 @@
 //! the static loader already runs, so both paths share one split rule.
 
 use crate::bulk::external::{finish_root, ExternalConfig};
+use crate::bulk::kd_split::split_point;
 use crate::bulk::pr::PrTreeLoader;
 use crate::entry::Entry;
-use crate::page::NodePage;
 use crate::params::TreeParams;
 use crate::tree::RTree;
-use crate::writer::page_ptr;
+use crate::writer::write_node;
 use pr_em::{external_sort_by, BlockDevice, EmError, Record, Stream, StreamReader, StreamWriter};
 use pr_geom::mapped::{cmp_extreme_on_axis, cmp_items_on_axis};
 use pr_geom::{Axis, Item};
@@ -102,9 +102,7 @@ impl PrExternalLoader {
         // Small stages skip the external machinery entirely.
         if input.len() <= mem_fit {
             let entries = input.read_all::<Entry<D>>(dev)?;
-            for group in self.inner.stage_groups_from(entries, cap, Axis(0)) {
-                write_group(dev, level, group, &mut parent_writer)?;
-            }
+            self.group_in_memory(dev, entries, cap, Axis(0), level, &mut parent_writer)?;
             return parent_writer.finish();
         }
 
@@ -160,10 +158,7 @@ impl PrExternalLoader {
         if count <= mem_fit || count <= cap as u64 {
             let entries = lists[0].read_all::<Entry<D>>(dev)?;
             discard_all(dev, lists);
-            for group in self.inner.stage_groups_from(entries, cap, axis) {
-                write_group(dev, level, group, parent_writer)?;
-            }
-            return Ok(());
+            return self.group_in_memory(dev, entries, cap, axis, level, parent_writer);
         }
 
         // 1. Priority leaves: the `prio` most extreme remaining entries
@@ -186,7 +181,7 @@ impl PrExternalLoader {
                 }
             }
             if !leaf.is_empty() {
-                write_group(dev, level, leaf, parent_writer)?;
+                write_group(dev, level, &leaf, parent_writer)?;
             }
         }
 
@@ -199,7 +194,7 @@ impl PrExternalLoader {
             // Remainder forms a single kd leaf.
             let leaf = collect_remaining::<D>(dev, &lists[0], &taken, remaining as usize)?;
             discard_all(dev, lists);
-            write_group(dev, level, leaf, parent_writer)?;
+            write_group(dev, level, &leaf, parent_writer)?;
             return Ok(());
         }
 
@@ -245,22 +240,26 @@ impl PrExternalLoader {
         stack.push((left_lists, mid, next));
         Ok(())
     }
-}
 
-/// The in-memory split position for `n` remaining entries (mirrors
-/// `kd_split::median_split` exactly).
-fn split_point(n: usize, snap_to: Option<usize>) -> usize {
-    let mut mid = n / 2;
-    if let Some(cap) = snap_to {
-        if cap > 0 && n > cap {
-            let mut snapped = ((mid + cap / 2) / cap) * cap;
-            if snapped == 0 {
-                snapped = cap;
-            }
-            mid = snapped.min(n - 1);
+    /// Groups a sub-problem that fits in memory with the in-memory
+    /// kernel, resuming the kd cycle at `axis`, and writes its pages in
+    /// group order.
+    fn group_in_memory<const D: usize>(
+        &self,
+        dev: &dyn BlockDevice,
+        mut entries: Vec<Entry<D>>,
+        cap: usize,
+        axis: Axis,
+        level: u8,
+        parent_writer: &mut StreamWriter<Entry<D>>,
+    ) -> Result<(), EmError> {
+        let mut groups = Vec::with_capacity(entries.len() / cap + 1);
+        self.inner.group_stage(&mut entries, cap, axis, &mut groups);
+        for r in groups {
+            write_group(dev, level, &entries[r], parent_writer)?;
         }
+        Ok(())
     }
-    mid.clamp(1, n - 1)
 }
 
 fn as_item<const D: usize>(e: &Entry<D>) -> Item<D> {
@@ -276,17 +275,18 @@ fn discard_all(dev: &dyn BlockDevice, lists: Vec<Stream>) {
     }
 }
 
-/// Writes one leaf-group page and appends its parent entry.
+/// Writes one leaf-group page and appends its parent entry. Each page is
+/// written before its parent entry is pushed: the parent stream
+/// allocates device blocks as it fills, so this interleaving fixes the
+/// page ids.
 fn write_group<const D: usize>(
     dev: &dyn BlockDevice,
     level: u8,
-    group: Vec<Entry<D>>,
+    group: &[Entry<D>],
     parent_writer: &mut StreamWriter<Entry<D>>,
 ) -> Result<(), EmError> {
-    debug_assert!(!group.is_empty());
-    let mbr = Entry::mbr(&group);
-    let page = NodePage::new(level, group).append(dev)?;
-    parent_writer.push(&Entry::new(mbr, page_ptr(page)?))
+    let mut buf = vec![0u8; dev.block_size()];
+    parent_writer.push(&write_node(dev, level, group, &mut buf)?)
 }
 
 /// Collects all not-taken entries from a list (there must be exactly
@@ -454,14 +454,29 @@ mod tests {
 
     #[test]
     fn split_point_mirrors_median_split() {
+        // The external distribution sends left exactly the entries below
+        // the one of ascending rank `split_point`; the in-memory split
+        // must put the same set left, on min- and max-side axes.
         use crate::bulk::kd_split::median_split;
         for n in 2..60usize {
             for snap in [None, Some(4), Some(7)] {
-                let items: Vec<Entry<2>> = (0..n)
-                    .map(|i| Entry::new(Rect::xyxy(i as f64, 0.0, i as f64 + 0.5, 1.0), i as u32))
-                    .collect();
-                let (l, _r) = median_split(items, Axis(0), snap);
-                assert_eq!(l.len(), split_point(n, snap), "n={n} snap={snap:?}");
+                for axis in [Axis(0), Axis(3)] {
+                    let mut items: Vec<Entry<2>> = (0..n)
+                        .map(|i| {
+                            let f = ((i * 7) % n) as f64;
+                            Entry::new(Rect::xyxy(f, 0.0, f + 0.5, (i % 3) as f64), i as u32)
+                        })
+                        .collect();
+                    let mut sorted = items.clone();
+                    sorted.sort_by(|a, b| cmp_items_on_axis(axis, &as_item(a), &as_item(b)));
+                    let mid = median_split(&mut items, axis, snap);
+                    assert_eq!(mid, split_point(n, snap), "n={n} snap={snap:?}");
+                    let mut left: Vec<u32> = items[..mid].iter().map(|e| e.ptr).collect();
+                    let mut want: Vec<u32> = sorted[..mid].iter().map(|e| e.ptr).collect();
+                    left.sort_unstable();
+                    want.sort_unstable();
+                    assert_eq!(left, want, "n={n} snap={snap:?} axis={axis:?}");
+                }
             }
         }
     }

@@ -3,24 +3,30 @@
 //! An extension beyond the paper (which predates multicore ubiquity):
 //! the pseudo-PR-tree stage is a divide-and-conquer over disjoint entry
 //! sets, so after the first few sequential kd splits the recursion
-//! parallelizes embarrassingly. The grouping produced is *identical* to
-//! the sequential loader's — both drive the same
-//! `PrTreeLoader::node_step` — only the schedule differs; a test pins
-//! that down.
+//! parallelizes embarrassingly. Each stage peels the top of the kd
+//! recursion on the calling thread with
+//! [`PrTreeLoader::split_range`] until there are about two sub-problems
+//! per worker, carves the stage's entry array into their disjoint
+//! sub-slices with `split_at_mut`, and runs the sequential in-place
+//! kernel [`PrTreeLoader::group_stage`] on each under
+//! `std::thread::scope`. The groups are the *same* as the sequential
+//! loader's — both run the same node step on the same sub-slices — only
+//! the schedule, and therefore the group (page) order, differs; a test
+//! pins that down.
 //!
-//! Page writing stays sequential: allocation on the shared device is a
+//! Stages and page writing are [`PrTreeLoader::build_stages`], shared
+//! with the sequential loader: allocation on the shared device is a
 //! synchronization point anyway, and writing is a small fraction of the
 //! stage cost.
 
 use crate::bulk::pr::PrTreeLoader;
 use crate::bulk::BulkLoader;
 use crate::entry::Entry;
-use crate::page::NodePage;
 use crate::params::TreeParams;
 use crate::tree::RTree;
-use crate::writer::write_level;
 use pr_em::{BlockDevice, EmError};
 use pr_geom::{Axis, Item};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// PR-tree loader that fans the kd recursion out over threads.
@@ -43,27 +49,29 @@ impl ParallelPrLoader {
         }
     }
 
-    /// One stage's grouping, computed in parallel.
-    fn stage_groups_parallel<const D: usize>(
+    /// One stage's grouping, computed in parallel: the same contract as
+    /// [`PrTreeLoader::group_stage`] starting at axis 0.
+    fn group_stage_parallel<const D: usize>(
         &self,
-        entries: Vec<Entry<D>>,
+        entries: &mut [Entry<D>],
         cap: usize,
-    ) -> Vec<Vec<Entry<D>>> {
-        let threads = self.effective_threads();
+        threads: usize,
+        groups: &mut Vec<Range<usize>>,
+    ) {
+        let inner = self.inner;
         if threads <= 1 || entries.len() < 4 * cap * threads {
-            return self.inner.stage_groups(entries, cap);
+            return inner.group_stage(entries, cap, Axis(0), groups);
         }
 
         // Peel the top of the recursion sequentially until there are
         // enough independent sub-problems to saturate the workers.
-        let mut out: Vec<Vec<Entry<D>>> = Vec::new();
-        let mut tasks: Vec<(Vec<Entry<D>>, Axis)> = vec![(entries, Axis(0))];
+        let mut tasks: Vec<(Range<usize>, Axis)> = vec![(0..entries.len(), Axis(0))];
         while tasks.len() < 2 * threads {
             // Expand the largest pending task.
             let Some(idx) = tasks
                 .iter()
                 .enumerate()
-                .max_by_key(|(_, (set, _))| set.len())
+                .max_by_key(|(_, (range, _))| range.len())
                 .map(|(i, _)| i)
             else {
                 break;
@@ -71,32 +79,56 @@ impl ParallelPrLoader {
             if tasks[idx].0.len() <= 4 * cap {
                 break; // everything left is small; no point splitting more
             }
-            let (set, axis) = tasks.swap_remove(idx);
-            if let Some(children) = self.inner.node_step(set, axis, cap, &mut out) {
-                tasks.extend(children);
+            let (range, axis) = tasks.swap_remove(idx);
+            if let Some(halves) = inner.split_range(entries, range, axis, cap, groups) {
+                tasks.extend(halves);
             }
             if tasks.is_empty() {
                 break;
             }
         }
 
+        // Carve the disjoint task ranges out of `entries`, in address
+        // order, so each worker owns its sub-slice.
+        let mut by_start: Vec<usize> = (0..tasks.len()).collect();
+        by_start.sort_unstable_by_key(|&t| tasks[t].0.start);
+        let mut slices: Vec<Option<&mut [Entry<D>]>> = tasks.iter().map(|_| None).collect();
+        let mut rest = entries;
+        let mut offset = 0;
+        for t in by_start {
+            let range = &tasks[t].0;
+            let (_, tail) = std::mem::take(&mut rest).split_at_mut(range.start - offset);
+            let (mine, tail) = tail.split_at_mut(range.len());
+            slices[t] = Some(mine);
+            rest = tail;
+            offset = range.end;
+        }
+
         // Fan the sub-problems out; each worker runs the sequential
-        // grouping on its disjoint set.
-        let inner = self.inner;
+        // kernel on its sub-slice, and its groups are appended in task
+        // order, shifted back to positions in `entries`.
         let results = std::thread::scope(|scope| {
             let handles: Vec<_> = tasks
-                .into_iter()
-                .map(|(set, axis)| scope.spawn(move || inner.stage_groups_from(set, cap, axis)))
+                .iter()
+                .zip(slices)
+                .map(|(&(_, axis), slice)| {
+                    let slice = slice.expect("every task owns a slice");
+                    scope.spawn(move || {
+                        let mut local = Vec::new();
+                        inner.group_stage(slice, cap, axis, &mut local);
+                        local
+                    })
+                })
                 .collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("worker panicked"))
                 .collect::<Vec<_>>()
         });
-        for groups in results {
-            out.extend(groups);
+        for ((range, _), local) in tasks.iter().zip(results) {
+            let base = range.start;
+            groups.extend(local.into_iter().map(|r| base + r.start..base + r.end));
         }
-        out
     }
 }
 
@@ -111,26 +143,13 @@ impl<const D: usize> BulkLoader<D> for ParallelPrLoader {
         params: TreeParams,
         items: Vec<Item<D>>,
     ) -> Result<RTree<D>, EmError> {
-        if items.is_empty() {
-            return RTree::new_empty(dev, params);
-        }
         let len = items.len() as u64;
-        let mut entries: Vec<Entry<D>> = items.into_iter().map(Entry::from_item).collect();
-        let mut level: u8 = 0;
-        loop {
-            let cap = params.cap_at_level(level);
-            if entries.len() == 1 && level > 0 {
-                let root = entries[0].ptr as u64;
-                return Ok(RTree::attach(dev, params, root, level - 1, len));
-            }
-            if entries.len() <= cap {
-                let root = NodePage::new(level, entries).append(dev.as_ref())?;
-                return Ok(RTree::attach(dev, params, root, level, len));
-            }
-            let groups = self.stage_groups_parallel(entries, cap);
-            entries = write_level(dev.as_ref(), level, groups)?;
-            level = level.checked_add(1).expect("tree height exceeds 255");
-        }
+        let entries: Vec<Entry<D>> = items.into_iter().map(Entry::from_item).collect();
+        let threads = self.effective_threads();
+        self.inner
+            .build_stages(dev, params, entries, len, |entries, cap, groups| {
+                self.group_stage_parallel(entries, cap, threads, groups)
+            })
     }
 }
 

@@ -36,21 +36,36 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TgsLoader;
 
+/// One entry of a subset, tagged with its position in the input of
+/// [`Orders::build`]. Ids need not be unique (a set may hold bit-identical
+/// twins), so splits route entries by this tag.
+#[derive(Clone, Copy)]
+struct Slot<const D: usize> {
+    entry: Entry<D>,
+    pos: usize,
+}
+
 /// The working state of one subset: the same entries in all `2D`
 /// coordinate orders (ascending by `(mapped coordinate, id)`).
 struct Orders<const D: usize> {
-    by_axis: Vec<Vec<Entry<D>>>,
+    by_axis: Vec<Vec<Slot<D>>>,
 }
 
 impl<const D: usize> Orders<D> {
     fn build(entries: Vec<Entry<D>>) -> Self {
+        let slots: Vec<Slot<D>> = entries
+            .into_iter()
+            .enumerate()
+            .map(|(pos, entry)| Slot { entry, pos })
+            .collect();
         let mut by_axis = Vec::with_capacity(2 * D);
         for axis in Axis::all::<D>() {
-            let mut v = entries.clone();
-            sort_by_axis(&mut v, axis);
+            let mut v = slots.clone();
+            v.sort_unstable_by(|a, b| {
+                cmp_items_on_axis(axis, &a.entry.to_item(), &b.entry.to_item())
+            });
             by_axis.push(v);
         }
-        drop(entries);
         Orders { by_axis }
     }
 
@@ -59,23 +74,25 @@ impl<const D: usize> Orders<D> {
     }
 
     /// Splits along `axis` after the first `left_len` entries of that
-    /// ordering, distributing every other ordering stably.
+    /// ordering, distributing every other ordering stably. Entries go
+    /// left by input position, so the left side holds exactly `left_len`
+    /// entries even when ids repeat.
     fn split(self, axis: Axis, left_len: usize) -> (Orders<D>, Orders<D>) {
         let n = self.len();
-        let mut left_ids: HashSet<u32> = HashSet::with_capacity(left_len);
-        for e in &self.by_axis[axis.0][..left_len] {
-            left_ids.insert(e.ptr);
-        }
+        let left_pos: HashSet<usize> = self.by_axis[axis.0][..left_len]
+            .iter()
+            .map(|s| s.pos)
+            .collect();
         let mut left = Vec::with_capacity(2 * D);
         let mut right = Vec::with_capacity(2 * D);
         for order in self.by_axis {
             let mut l = Vec::with_capacity(left_len);
             let mut r = Vec::with_capacity(n - left_len);
-            for e in order {
-                if left_ids.contains(&e.ptr) {
-                    l.push(e);
+            for s in order {
+                if left_pos.contains(&s.pos) {
+                    l.push(s);
                 } else {
-                    r.push(e);
+                    r.push(s);
                 }
             }
             left.push(l);
@@ -83,22 +100,6 @@ impl<const D: usize> Orders<D> {
         }
         (Orders { by_axis: left }, Orders { by_axis: right })
     }
-}
-
-fn sort_by_axis<const D: usize>(entries: &mut [Entry<D>], axis: Axis) {
-    entries.sort_unstable_by(|a, b| {
-        cmp_items_on_axis(
-            axis,
-            &Item {
-                rect: a.rect,
-                id: a.ptr,
-            },
-            &Item {
-                rect: b.rect,
-                id: b.ptr,
-            },
-        )
-    });
 }
 
 /// The best binary cut found for one subset.
@@ -122,7 +123,13 @@ fn best_cut<const D: usize>(orders: &Orders<D>, unit: usize) -> Cut {
     for axis in Axis::all::<D>() {
         let sorted = &orders.by_axis[axis.0];
         // Bounding boxes of the m unit segments in this ordering.
-        let seg_mbrs: Vec<Rect<D>> = sorted.chunks(unit).map(Entry::mbr).collect();
+        let seg_mbrs: Vec<Rect<D>> = sorted
+            .chunks(unit)
+            .map(|seg| {
+                seg.iter()
+                    .fold(Rect::EMPTY, |acc, s| acc.mbr_with(&s.entry.rect))
+            })
+            .collect();
         // Prefix and suffix folds at segment boundaries.
         let mut prefix = Vec::with_capacity(m);
         let mut acc = Rect::EMPTY;
@@ -153,7 +160,8 @@ fn best_cut<const D: usize>(orders: &Orders<D>, unit: usize) -> Cut {
 /// Recursively binary-partitions `orders` into groups of at most `unit`.
 fn partition<const D: usize>(orders: Orders<D>, unit: usize, out: &mut Vec<Vec<Entry<D>>>) {
     if orders.len() <= unit {
-        out.push(orders.by_axis.into_iter().next().expect("2D ≥ 1 orders"));
+        let order = orders.by_axis.into_iter().next().expect("2D ≥ 1 orders");
+        out.push(order.into_iter().map(|s| s.entry).collect());
         return;
     }
     let cut = best_cut(&orders, unit);
@@ -297,8 +305,8 @@ mod tests {
         assert_eq!(cut.axis.dim::<2>(), 0, "cut along x");
         // And the split really separates the clusters.
         let (l, r) = orders.split(cut.axis, cut.left_len);
-        assert!(l.by_axis[0].iter().all(|e| e.rect.lo_at(0) < 50.0));
-        assert!(r.by_axis[0].iter().all(|e| e.rect.lo_at(0) > 50.0));
+        assert!(l.by_axis[0].iter().all(|s| s.entry.rect.lo_at(0) < 50.0));
+        assert!(r.by_axis[0].iter().all(|s| s.entry.rect.lo_at(0) > 50.0));
     }
 
     #[test]
@@ -314,14 +322,7 @@ mod tests {
                 assert_eq!(order.len(), expect_len);
                 let axis = Axis(a);
                 for w in order.windows(2) {
-                    let ia = Item {
-                        rect: w[0].rect,
-                        id: w[0].ptr,
-                    };
-                    let ib = Item {
-                        rect: w[1].rect,
-                        id: w[1].ptr,
-                    };
+                    let (ia, ib) = (w[0].entry.to_item(), w[1].entry.to_item());
                     assert_ne!(
                         cmp_items_on_axis(axis, &ia, &ib),
                         std::cmp::Ordering::Greater,
@@ -330,6 +331,33 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn split_routes_bit_identical_twins_by_position() {
+        // Five copies of one entry (same rectangle, same id) and three
+        // others: a cut after 3 must leave 3 and 5, not move every twin.
+        let twin = Entry::new(Rect::xyxy(1.0, 1.0, 1.0, 1.0), 7);
+        let mut entries = vec![twin; 5];
+        for i in 0..3u32 {
+            let f = 2.0 + i as f64;
+            entries.push(Entry::new(Rect::xyxy(f, f, f, f), i));
+        }
+        let (l, r) = Orders::build(entries).split(Axis(0), 3);
+        for order in &l.by_axis {
+            assert_eq!(order.len(), 3);
+        }
+        for order in &r.by_axis {
+            assert_eq!(order.len(), 5);
+        }
+        let t = build(
+            (0..40u32)
+                .map(|i| Item::new(Rect::xyxy(0.0, 0.0, 0.0, 0.0), i / 4))
+                .collect(),
+            4,
+        );
+        t.validate().unwrap().assert_ok();
+        assert_eq!(t.len(), 40);
     }
 
     #[test]

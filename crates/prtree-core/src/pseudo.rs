@@ -13,7 +13,7 @@
 //! sets stage by stage; this module keeps the whole structure around so
 //! it can be queried and studied directly.
 
-use crate::bulk::kd_split::{extract_all_priority_leaves, median_split};
+use crate::bulk::kd_split::split_node;
 use crate::entry::Entry;
 use pr_geom::{Axis, Item, Rect};
 
@@ -53,11 +53,11 @@ impl<const D: usize> PseudoPrTree<D> {
     pub fn build(items: Vec<Item<D>>, block_cap: usize) -> Self {
         assert!(block_cap >= 1);
         let len = items.len();
-        let entries: Vec<Entry<D>> = items.into_iter().map(Entry::from_item).collect();
+        let mut entries: Vec<Entry<D>> = items.into_iter().map(Entry::from_item).collect();
         let root = if entries.is_empty() {
             None
         } else {
-            Some(build_node(entries, Axis(0), block_cap))
+            Some(build_node(&mut entries, Axis(0), block_cap))
         };
         PseudoPrTree {
             root,
@@ -125,39 +125,27 @@ impl<const D: usize> PseudoPrTree<D> {
     }
 }
 
-fn build_node<const D: usize>(entries: Vec<Entry<D>>, axis: Axis, cap: usize) -> PseudoNode<D> {
+fn build_node<const D: usize>(entries: &mut [Entry<D>], axis: Axis, cap: usize) -> PseudoNode<D> {
     if entries.len() <= cap {
-        return PseudoNode::Leaf(entries.into_iter().map(Entry::to_item).collect());
+        return leaf_node(entries);
     }
-    let mut set = entries;
-    let prio_leaves = extract_all_priority_leaves(&mut set, cap);
-    let mut children: Vec<(Rect<D>, PseudoNode<D>)> = prio_leaves
+    // Priority leaves of size B, then the remainder as one leaf or two
+    // exact-median kd halves (§2.1's structural definition: no snapping).
+    let mut leaves = Vec::with_capacity(2 * D + 1);
+    let halves = split_node(entries, axis, cap, cap, None, |r| leaves.push(r));
+    let mut children: Vec<(Rect<D>, PseudoNode<D>)> = leaves
         .into_iter()
-        .map(|leaf| {
-            let mbr = Entry::mbr(&leaf);
-            (
-                mbr,
-                PseudoNode::Leaf(leaf.into_iter().map(Entry::to_item).collect()),
-            )
-        })
+        .map(|r| (Entry::mbr(&entries[r.clone()]), leaf_node(&entries[r])))
         .collect();
-    if !set.is_empty() {
-        if set.len() <= cap {
-            let mbr = Entry::mbr(&set);
-            children.push((
-                mbr,
-                PseudoNode::Leaf(set.into_iter().map(Entry::to_item).collect()),
-            ));
-        } else {
-            let (left, right) = median_split(set, axis, None);
-            for part in [left, right] {
-                let node = build_node(part, axis.next::<D>(), cap);
-                let mbr = node_mbr(&node);
-                children.push((mbr, node));
-            }
-        }
+    for half in halves.into_iter().flatten() {
+        let node = build_node(&mut entries[half], axis.next::<D>(), cap);
+        children.push((node_mbr(&node), node));
     }
     PseudoNode::Internal(children)
+}
+
+fn leaf_node<const D: usize>(entries: &[Entry<D>]) -> PseudoNode<D> {
+    PseudoNode::Leaf(entries.iter().map(|e| e.to_item()).collect())
 }
 
 fn node_mbr<const D: usize>(node: &PseudoNode<D>) -> Rect<D> {

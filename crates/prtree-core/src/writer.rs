@@ -7,7 +7,7 @@
 //! the "packed" construction of Kamel–Faloutsos and Roussopoulos–Leifker.
 
 use crate::entry::Entry;
-use crate::page::NodePage;
+use crate::page::{encode_page, NodePage};
 use crate::params::TreeParams;
 use crate::tree::RTree;
 use pr_em::{BlockDevice, BlockId, EmError};
@@ -21,19 +21,34 @@ pub fn page_ptr(page: BlockId) -> Result<u32, EmError> {
     u32::try_from(page).map_err(|_| EmError::PageIdOverflow { page })
 }
 
-/// Writes one tree level: each group becomes a node page at `level`.
-/// Returns the parent entries (group MBR + page id) in group order.
-pub fn write_level<const D: usize>(
+/// Writes one node of `entries` at `level` to a fresh page, encoding it
+/// in `buf` (one block long); returns the parent entry (MBR + page id).
+pub(crate) fn write_node<const D: usize>(
     dev: &dyn BlockDevice,
     level: u8,
-    groups: impl IntoIterator<Item = Vec<Entry<D>>>,
+    entries: &[Entry<D>],
+    buf: &mut [u8],
+) -> Result<Entry<D>, EmError> {
+    debug_assert!(!entries.is_empty(), "empty node group");
+    encode_page(level, entries, buf);
+    let page = dev.allocate(1);
+    dev.write_block(page, buf)?;
+    Ok(Entry::new(Entry::mbr(entries), page_ptr(page)?))
+}
+
+/// Writes one tree level: each group becomes a node page at `level`,
+/// encoded straight from its slice into one reused page buffer.
+/// Returns the parent entries (group MBR + page id) in group order.
+pub fn write_level<'a, const D: usize>(
+    dev: &dyn BlockDevice,
+    level: u8,
+    groups: impl IntoIterator<Item = &'a [Entry<D>]>,
 ) -> Result<Vec<Entry<D>>, EmError> {
-    let mut parents = Vec::new();
+    let groups = groups.into_iter();
+    let mut parents = Vec::with_capacity(groups.size_hint().0);
+    let mut buf = vec![0u8; dev.block_size()];
     for group in groups {
-        debug_assert!(!group.is_empty(), "empty node group");
-        let mbr = Entry::mbr(&group);
-        let page = NodePage::new(level, group).append(dev)?;
-        parents.push(Entry::new(mbr, page_ptr(page)?));
+        parents.push(write_node(dev, level, group, &mut buf)?);
     }
     Ok(parents)
 }
@@ -46,7 +61,7 @@ pub fn pack_level<const D: usize>(
     entries: &[Entry<D>],
     cap: usize,
 ) -> Result<Vec<Entry<D>>, EmError> {
-    write_level(dev, level, entries.chunks(cap).map(|c| c.to_vec()))
+    write_level(dev, level, entries.chunks(cap))
 }
 
 /// Builds all remaining levels above `child_level` by repeated sequential

@@ -179,16 +179,12 @@ fn tie_heavy_queries<const D: usize>(side: u32) -> Vec<Point<D>> {
     ]
 }
 
-/// Every loader on coincident points with distinct ids; the PR loader
-/// (the one the dynamic structures use) also with bit-identical twins.
-/// TGS is left out of the twin run: its split step routes items by id,
-/// so two items sharing an id always land on the same side and a cut
-/// can fail to shrink the set (the 3-D run overflows the stack).
+/// Every loader on coincident points, first with distinct ids and then
+/// with bit-identical twins (same rectangle, same id).
 fn check_tie_heavy<const D: usize>(side: u32, copies: u32, ks: &[usize]) {
-    let runs = LoaderKind::all()
-        .map(|kind| (kind, false))
+    let runs = [false, true]
         .into_iter()
-        .chain([(LoaderKind::Pr, true)]);
+        .flat_map(|twins| LoaderKind::all().map(|kind| (kind, twins)));
     for (kind, twins) in runs {
         let items = tie_heavy::<D>(side, copies, twins);
         let tree = build(kind, &items);
